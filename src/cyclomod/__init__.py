@@ -22,7 +22,6 @@ from .ffield import FieldContext, is_prime, make_context, primes_in_range
 from .oracle import CountTable, brute_s, dp_counts, power_set
 from .periods import (
     PeriodPolynomial,
-    discriminant,
     numeric_periods,
     period_polynomial,
     power_sums,
@@ -65,7 +64,6 @@ __all__ = [
     "compute_table",
     "count_representations",
     "diophantine_witness",
-    "discriminant",
     "dp_counts",
     "emit",
     "g3_closed",

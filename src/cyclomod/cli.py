@@ -19,47 +19,11 @@ import sys
 
 from . import closedform, cyclotomy, oracle, periods, series, sweep, waring
 from .ffield import make_context, primes_in_range
-from .errors import (
-    AllZeroToOrder,
-    BoundExceeded,
-    CyclomodError,
-    DegenerateOrder,
-    FormulaMismatch,
-    InternalDisagreement,
-    IntegralityFailure,
-    NoRepresentation,
-    NotPrime,
-    SanityFailure,
-    ScaleGuard,
-    Unreachable,
-    Unrepresentable,
-    WrongResidueClass,
-    ZeroArgument,
-)
+from .errors import CyclomodError, DegenerateOrder, InputError
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
-
-_INPUT_ERRORS = (
-    NotPrime,
-    WrongResidueClass,
-    ZeroArgument,
-    ScaleGuard,
-    ValueError,
-    OSError,
-)
-_VERIFICATION_ERRORS = (
-    InternalDisagreement,
-    SanityFailure,
-    FormulaMismatch,
-    IntegralityFailure,
-    BoundExceeded,
-    Unreachable,
-    AllZeroToOrder,
-    NoRepresentation,
-    Unrepresentable,
-)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -102,11 +66,7 @@ def cmd_gd(args) -> int:
 
 
 def cmd_sd(args) -> int:
-    try:
-        ctx = _context(args)
-    except DegenerateOrder as exc:
-        _print_json(_trivial_payload(exc))
-        return EXIT_OK
+    ctx = _context(args)
     solution = waring.solve(ctx)
     payload = {
         "p": str(ctx.p),
@@ -127,11 +87,7 @@ def cmd_sd(args) -> int:
 
 
 def cmd_cyclo(args) -> int:
-    try:
-        ctx = _context(args)
-    except DegenerateOrder as exc:
-        _print_json(_trivial_payload(exc))
-        return EXIT_OK
+    ctx = _context(args)
     table = cyclotomy.compute_table(ctx)
     if args.format == "csv":
         for row in table.counts:
@@ -150,11 +106,7 @@ def cmd_cyclo(args) -> int:
 
 
 def cmd_period(args) -> int:
-    try:
-        ctx = _context(args)
-    except DegenerateOrder as exc:
-        _print_json(_trivial_payload(exc))
-        return EXIT_OK
+    ctx = _context(args)
     table = cyclotomy.compute_table(ctx)
     seq = waring.n_sequence(table, max(ctx.d - 1, 1))
     poly = periods.period_polynomial(seq)
@@ -170,11 +122,7 @@ def cmd_period(args) -> int:
 
 
 def cmd_series(args) -> int:
-    try:
-        ctx = _context(args)
-    except DegenerateOrder as exc:
-        _print_json(_trivial_payload(exc))
-        return EXIT_OK
+    ctx = _context(args)
     order = args.series_order if args.series_order is not None else ctx.d + 2
     table = cyclotomy.compute_table(ctx)
     seq = waring.n_sequence(table, 1)
@@ -232,11 +180,7 @@ def cmd_closed(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        ctx = _context(args)
-    except DegenerateOrder as exc:
-        _print_json(_trivial_payload(exc))
-        return EXIT_OK
+    ctx = _context(args)
     counts = oracle.dp_counts(ctx, args.k_max)
     print("k," + ",".join(str(a) for a in range(ctx.p)))
     for k in range(1, counts.k_max + 1):
@@ -277,6 +221,7 @@ def cmd_sweep(args) -> int:
             strict=args.strict,
             jobs=jobs,
             write_header=write_header,
+            max_p=args.max_p,
         ):
             pass
     finally:
@@ -294,11 +239,8 @@ def cmd_verify(args) -> int:
     total = 0
     for p in primes_in_range(pmin, pmax):
         for d in sweep.admissible_orders(p, args.order):
-            ctx = make_context(p, d, max_p=args.max_p)
-            table = cyclotomy.compute_table(ctx)
-            seq = waring.n_sequence(table, 1)
-            solution = waring.solve(ctx)
-            for check in sweep.full_checks(ctx, table, seq, solution):
+            solution = waring.solve(make_context(p, d, max_p=args.max_p))
+            for check in sweep.full_checks(solution):
                 total += 1
                 mark = "PASS" if check.passed else "FAIL"
                 line = f"{mark} (p={p}, d={d}) {check.name}"
@@ -325,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-p", "--prime", type=int, required=prime_required,
                         help="odd prime modulus")
         sp.add_argument("--max-p", type=int,
-                        default=_env_int("CYCLOMOD_MAX_P", 0) or None,
                         help="override the size guard on p")
 
     sp = sub.add_parser("gd", help="print the worst-case summand count alone")
@@ -409,14 +350,11 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateOrder as exc:
         _print_json(_trivial_payload(exc))
         return EXIT_OK
-    except _INPUT_ERRORS as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except _VERIFICATION_ERRORS as exc:
-        print(f"verification error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except CyclomodError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"verification error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
 

@@ -66,10 +66,6 @@ class CyclotomyTable:
                     frontier.append(i)
         return tuple(dist)
 
-    def entry(self, i: int, j: int) -> int:
-        d = self.ctx.d
-        return self.counts[i % d][j % d]
-
 
 def compute_table(ctx: FieldContext) -> CyclotomyTable:
     """Count all cyclotomic numbers of order d in one pass over the units."""

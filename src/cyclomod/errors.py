@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Two families matter to callers: input errors (bad prime, bad residue class,
-arguments out of range) and internal-consistency errors that signal an
-implementation bug rather than bad input.  The CLI maps the first family to
-exit code 2 and the second to exit code 1.
+Two families matter to callers.  InputError and its subclasses (bad prime,
+bad residue class, zero argument, size cap exceeded) mean the request was
+invalid; the CLI maps them to exit code 2.  Every other CyclomodError except
+DegenerateOrder signals an implementation bug rather than bad input; the
+CLI maps those to exit code 1.
 """
 
 
@@ -11,7 +12,11 @@ class CyclomodError(Exception):
     """Base class for all package errors."""
 
 
-class NotPrime(CyclomodError):
+class InputError(CyclomodError):
+    """The request itself is invalid; base of the exit-code-2 family."""
+
+
+class NotPrime(InputError):
     """The modulus is not an odd prime."""
 
     def __init__(self, n):
@@ -36,11 +41,11 @@ class DegenerateOrder(CyclomodError):
         )
 
 
-class ScaleGuard(CyclomodError):
+class ScaleGuard(InputError):
     """Input exceeds a configured size cap."""
 
 
-class ZeroArgument(CyclomodError):
+class ZeroArgument(InputError):
     """A nonzero residue was required."""
 
     def __init__(self, a):
@@ -88,7 +93,7 @@ class FormulaMismatch(CyclomodError):
     """Neither sign choice reproduces the counted cyclotomic table."""
 
 
-class WrongResidueClass(CyclomodError):
+class WrongResidueClass(InputError):
     """The prime is not in the residue class the closed form requires."""
 
 

@@ -13,7 +13,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import DegenerateOrder, NotPrime, SanityFailure, ScaleGuard, ZeroArgument
+from .errors import (
+    DegenerateOrder, InputError, NotPrime, SanityFailure, ScaleGuard, ZeroArgument,
+)
 
 #: Default cap on p.  Index tables take O(p) memory; raise the cap explicitly
 #: (max_p argument or CYCLOMOD_MAX_P) when you mean it.
@@ -96,12 +98,16 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 def _max_p_limit(max_p: int | None) -> int:
+    """The cap on p: max_p if given, else CYCLOMOD_MAX_P, else DEFAULT_MAX_P."""
     if max_p is not None:
         return max_p
     env = os.environ.get("CYCLOMOD_MAX_P")
-    if env:
+    if not env:
+        return DEFAULT_MAX_P
+    try:
         return int(env)
-    return DEFAULT_MAX_P
+    except ValueError:
+        raise InputError(f"CYCLOMOD_MAX_P={env!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

@@ -103,11 +103,6 @@ def period_polynomial(seq: NSequence) -> PeriodPolynomial:
     return PeriodPolynomial(coeffs=coeffs)
 
 
-def discriminant(poly: PeriodPolynomial) -> int:
-    """Discriminant of G, exact, via the resultant of G and G'."""
-    return poly.discriminant
-
-
 def numeric_periods(
     ctx: FieldContext, *, max_p: int = DEFAULT_NUMERIC_MAX_P
 ) -> list[complex]:

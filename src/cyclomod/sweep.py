@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, TextIO
 
 from . import closedform, cyclotomy, oracle, series, waring
 from .errors import AllZeroToOrder, CyclomodError
-from .ffield import make_context, primes_in_range
+from .ffield import _max_p_limit, make_context, prime_factors, primes_in_range
 
 log = logging.getLogger(__name__)
 
@@ -76,22 +76,24 @@ class CheckResult:
 
 def admissible_orders(p: int, d_filter: int | None = None) -> list[int]:
     """Divisors of p-1 that are >= 2, ascending; optionally one requested d."""
-    divisors = sorted(
-        d for d in range(2, p) if (p - 1) % d == 0
-    )
-    if d_filter is None:
-        return divisors
-    return [d_filter] if d_filter in divisors else []
+    if p < 3:
+        return []
+    if d_filter is not None:
+        return [d_filter] if d_filter >= 2 and (p - 1) % d_filter == 0 else []
+    divisors = [1]
+    for q in prime_factors(p - 1):
+        powers = [1]
+        while (p - 1) % (powers[-1] * q) == 0:
+            powers.append(powers[-1] * q)
+        divisors = [a * b for a in divisors for b in powers]
+    return sorted(divisors)[1:]
 
 
-def full_checks(
-    ctx,
-    table: cyclotomy.CyclotomyTable,
-    seq: waring.NSequence,
-    solution: waring.WaringSolution,
-) -> list[CheckResult]:
+def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     """The verification battery behind verify_level=full and the verify command."""
     checks: list[CheckResult] = []
+    seq = solution.seq
+    ctx, table = seq.ctx, seq.table
     p, d, f, theta = ctx.p, ctx.d, ctx.f, ctx.theta
 
     report = cyclotomy.verify_identities(table)
@@ -128,7 +130,7 @@ def full_checks(
             # guarded (never-expected) path: arbitration falls to brute force
             log.warning("series valuation gave up for (p=%s, d=%s, alpha=%s): %s",
                         p, d, alpha, exc)
-            val = oracle.brute_s(ctx, ctx.element_of_class(alpha))
+            val = brute[alpha]
         if val != solution.per_class_s[alpha]:
             ord_bad.append((alpha, val, solution.per_class_s[alpha]))
     checks.append(
@@ -182,16 +184,16 @@ def full_checks(
     return checks
 
 
-def solve_single(p: int, d: int, verify_level: str) -> SweepRecord:
+def solve_single(
+    p: int, d: int, verify_level: str, max_p: int | None = None
+) -> SweepRecord:
     """Solve one (p, d) pair and run the checks for the requested level."""
     start = time.perf_counter()
-    ctx = make_context(p, d)
+    ctx = make_context(p, d, max_p=max_p)
     solution = waring.solve(ctx)
     closed_match: bool | None = None
     if verify_level == "full":
-        table = cyclotomy.compute_table(ctx)
-        seq = waring.n_sequence(table, 1)
-        checks = full_checks(ctx, table, seq, solution)
+        checks = full_checks(solution)
         failures = [c for c in checks if not c.passed]
         if failures:
             raise CyclomodError(
@@ -298,10 +300,10 @@ def scan_completed(path: str, fmt: str) -> set[tuple[int, int]]:
     return done
 
 
-def _solve_job(args: tuple[int, int, str]):
-    p, d, verify_level = args
+def _solve_job(args: tuple[int, int, str, int]):
+    p, d, verify_level, max_p = args
     try:
-        return ("ok", solve_single(p, d, verify_level))
+        return ("ok", solve_single(p, d, verify_level, max_p))
     except CyclomodError as exc:
         return ("err", (p, d), f"{type(exc).__name__}: {exc}")
 
@@ -318,17 +320,21 @@ def run_sweep(
     strict: bool = False,
     jobs: int = 1,
     write_header: bool = False,
+    max_p: int | None = None,
 ) -> Iterator[SweepRecord]:
     """Yield records for every admissible (p, d) in range, ascending.
 
     With out set, each record is also written (and flushed) as it is
-    produced, so a killed run leaves a resumable file behind.  Failures
-    are reported on stderr and skipped unless strict is set.
+    produced, so a killed run leaves a resumable file behind.  Failures,
+    including primes above the max_p cap, are reported on stderr and
+    skipped unless strict is set.
     """
     if verify_level not in ("fast", "full"):
         raise ValueError(f"verify_level must be fast or full, got {verify_level!r}")
     if not 2 < p_min <= p_max:
         raise ValueError(f"need 2 < p_min <= p_max, got {p_min}..{p_max}")
+    # a malformed CYCLOMOD_MAX_P refuses the sweep instead of every record
+    max_p = _max_p_limit(max_p)
     skip = skip or set()
     keys = [
         (p, d)
@@ -341,7 +347,7 @@ def run_sweep(
         out.flush()
 
     def results() -> Iterable:
-        tasks = [(p, d, verify_level) for p, d in keys]
+        tasks = [(p, d, verify_level, max_p) for p, d in keys]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 # map() preserves submission order: it is the reorder buffer.

@@ -185,15 +185,21 @@ def s_by_reachability(table: CyclotomyTable, alpha: int) -> int:
 class WaringSolution:
     """Per-class minimal lengths and their maximum.
 
-    method records which solver produced the values: "recurrence" when the
-    two exact paths agreed everywhere (the normal case), "oracle" when a
-    guard tripped and brute force arbitrated.
+    seq is the recurrence that drove the solve; its table and context hang
+    off it, so checks reuse them instead of rebuilding.  method records
+    which solver produced the values: "recurrence" when the two exact paths
+    agreed everywhere (the normal case), "oracle" when a guard tripped and
+    brute force arbitrated.
     """
 
-    ctx: FieldContext
+    seq: NSequence
     per_class_s: tuple[int, ...]
     g: int
     method: str
+
+    @property
+    def ctx(self) -> FieldContext:
+        return self.seq.ctx
 
 
 def solve(ctx: FieldContext) -> WaringSolution:
@@ -227,7 +233,7 @@ def solve(ctx: FieldContext) -> WaringSolution:
             raise InternalDisagreement(alpha, values)
         per_class.append(next(iter(values.values())))
     return WaringSolution(
-        ctx=ctx,
+        seq=seq,
         per_class_s=tuple(per_class),
         g=max(per_class),
         method="oracle" if fallback else "recurrence",

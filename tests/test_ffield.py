@@ -1,7 +1,9 @@
 import pytest
 
 from cyclomod import make_context, primes_in_range
-from cyclomod.errors import DegenerateOrder, NotPrime, ScaleGuard, ZeroArgument
+from cyclomod.errors import (
+    DegenerateOrder, InputError, NotPrime, ScaleGuard, ZeroArgument,
+)
 from cyclomod.ffield import is_prime, prime_factors, smallest_primitive_root
 
 
@@ -92,6 +94,13 @@ def test_scale_guard_env_override(monkeypatch):
         make_context(101, 4)
     monkeypatch.setenv("CYCLOMOD_MAX_P", "200")
     make_context(101, 4)
+
+
+def test_scale_guard_env_malformed(monkeypatch):
+    monkeypatch.setenv("CYCLOMOD_MAX_P", "2**22")
+    with pytest.raises(InputError, match="CYCLOMOD_MAX_P"):
+        make_context(101, 4)
+    make_context(101, 4, max_p=200)  # the argument beats the environment
 
 
 def test_index_of_examples():

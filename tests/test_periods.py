@@ -5,7 +5,6 @@ import pytest
 
 from cyclomod import (
     compute_table,
-    discriminant,
     make_context,
     n_sequence,
     numeric_periods,
@@ -113,7 +112,7 @@ def test_coefficients_match_numeric_expansion():
 
 def test_discriminant_p13_d2():
     poly = period_polynomial(_seq(13, 2))
-    assert discriminant(poly) == 13  # 1 + 12 from the quadratic formula
+    assert poly.discriminant == 13  # 1 + 12 from the quadratic formula
 
 
 def test_discriminant_degree_two_definition():
@@ -122,12 +121,12 @@ def test_discriminant_degree_two_definition():
         ctx = make_context(p, 2)
         poly = period_polynomial(_seq(p, 2))
         e0, e1 = numeric_periods(ctx)
-        assert abs(discriminant(poly) - (e0 - e1) ** 2) < 1e-6
+        assert abs(poly.discriminant - (e0 - e1) ** 2) < 1e-6
 
 
 def test_discriminant_positive_p7_d3():
     poly = period_polynomial(_seq(7, 3))
-    disc = discriminant(poly)
+    disc = poly.discriminant
     assert disc > 0
     etas = numeric_periods(make_context(7, 3))
     product = 1.0
@@ -144,7 +143,7 @@ def test_discriminant_nonzero_and_matches_power_sum_gram():
         poly = period_polynomial(seq)
         ps = power_sums(seq, 2 * d - 2)
         gram = [[ps[i + j] for j in range(d)] for i in range(d)]
-        assert discriminant(poly) == _det(gram) != 0
+        assert poly.discriminant == _det(gram) != 0
 
 
 def _det(matrix):

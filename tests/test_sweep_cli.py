@@ -5,6 +5,8 @@ import os
 import pytest
 
 from cyclomod.cli import main
+from cyclomod.errors import CyclomodError, InputError
+from cyclomod.ffield import primes_in_range
 from cyclomod.sweep import (
     SweepRecord,
     admissible_orders,
@@ -21,6 +23,12 @@ def test_admissible_orders():
     assert admissible_orders(13, 4) == [4]
     assert admissible_orders(13, 5) == []
     assert admissible_orders(7) == [2, 3, 6]
+    for p in primes_in_range(2, 2000):
+        naive = [d for d in range(2, p) if (p - 1) % d == 0]
+        assert admissible_orders(p) == naive, p
+        for d in (1, p - 1, p, p + 1, 0, -2):
+            assert admissible_orders(p, d) == ([d] if d in naive else []), (p, d)
+    assert admissible_orders(31, 7) == []  # 7 does not divide 30
 
 
 def test_solve_single_record_fields():
@@ -157,10 +165,10 @@ def test_sweep_strict_aborts_on_failure(monkeypatch, capsys):
 
     real = sweep_module.solve_single
 
-    def failing(p, d, verify_level):
+    def failing(p, d, verify_level, max_p=None):
         if (p, d) == (7, 3):
             raise CyclomodError("synthetic failure")
-        return real(p, d, verify_level)
+        return real(p, d, verify_level, max_p)
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
     with pytest.raises(CyclomodError):
@@ -184,6 +192,29 @@ def test_cli_gd(capsys):
 def test_cli_gd_degenerate_order(capsys):
     assert main(["gd", "-p", "7", "-d", "5"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+_TRIVIAL_7_5 = (
+    '{"p":"7","d_requested":"5","trivial":true,"g":"1",'
+    '"note":"gcd(d, p-1) = 1: every unit is a d-th power"}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["gd"], "1\n"),
+        (["sd"], _TRIVIAL_7_5),
+        (["cyclo"], _TRIVIAL_7_5),
+        (["period"], _TRIVIAL_7_5),
+        (["series", "-j", "1"], _TRIVIAL_7_5),
+        (["oracle", "-k", "2"], _TRIVIAL_7_5),
+    ],
+    ids=["gd", "sd", "cyclo", "period", "series", "oracle"],
+)
+def test_cli_degenerate_order_every_command(argv, expected, capsys):
+    assert main(argv + ["-p", "7", "-d", "5"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_sd(capsys):
@@ -250,6 +281,77 @@ def test_cli_invalid_inputs_exit_2(capsys):
     assert main(["gd", "-p", "8", "-d", "3"]) == 2
     assert main(["gd", "-p", "7"]) == 2  # missing -d
     assert main(["sweep", "--pmin", "10", "--pmax", "5"]) == 2
+
+
+def test_input_error_family():
+    from cyclomod.errors import (
+        DegenerateOrder, NotPrime, ScaleGuard, WrongResidueClass, ZeroArgument,
+    )
+
+    for cls in (NotPrime, WrongResidueClass, ZeroArgument, ScaleGuard):
+        assert issubclass(cls, InputError)
+    assert not issubclass(DegenerateOrder, InputError)
+
+
+def test_cli_not_prime_exits_2(capsys):
+    assert main(["sd", "-p", "9", "-d", "2"]) == 2
+    assert capsys.readouterr().err == "error: 9 is not a supported prime modulus\n"
+
+
+def test_cli_bare_cyclomod_error_exits_1(monkeypatch, capsys):
+    import cyclomod.sweep as sweep_module
+
+    def failing(p, d, verify_level, max_p=None):
+        raise CyclomodError("synthetic failure")
+
+    monkeypatch.setattr(sweep_module, "solve_single", failing)
+    assert main(["sweep", "--pmin", "3", "--pmax", "7", "--strict"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("verification error: CyclomodError: "
+                        "CyclomodError: synthetic failure\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["sd", "-p", "7", "-d", "3"],
+    ["sweep", "--pmin", "3", "--pmax", "7"],
+    ["verify", "-p", "7"],
+])
+def test_cli_malformed_max_p_env_exits_2(command, monkeypatch, capsys):
+    monkeypatch.setenv("CYCLOMOD_MAX_P", "abc")
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CYCLOMOD_MAX_P='abc' is not an integer\n"
+
+
+def test_cli_sweep_honours_max_p(monkeypatch, capsys):
+    monkeypatch.delenv("CYCLOMOD_MAX_P", raising=False)
+    assert main(["sweep", "--pmin", "11", "--pmax", "13", "--max-p", "12"]) == 0
+    captured = capsys.readouterr()
+    keys = [(json.loads(l)["p"], json.loads(l)["d"]) for l in captured.out.splitlines()]
+    assert keys == [("11", "2"), ("11", "5"), ("11", "10")]
+    assert "(p=13, d=2) failed: ScaleGuard" in captured.err
+
+
+def test_one_table_per_record(monkeypatch, capsys):
+    import cyclomod.cyclotomy as cyclotomy_module
+    import cyclomod.waring as waring_module
+
+    real = cyclotomy_module.compute_table
+    built = []
+
+    def counting(ctx):
+        built.append((ctx.p, ctx.d))
+        return real(ctx)
+
+    # waring binds compute_table by name, so count under both bindings
+    monkeypatch.setattr(cyclotomy_module, "compute_table", counting)
+    monkeypatch.setattr(waring_module, "compute_table", counting)
+    solve_single(7, 3, "full")
+    assert built == [(7, 3)]
+    built.clear()
+    assert main(["verify", "-p", "7"]) == 0
+    assert built == [(7, 2), (7, 3), (7, 6)]
 
 
 def test_cli_verification_failures_exit_1(monkeypatch, capsys):
