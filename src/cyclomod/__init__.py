@@ -30,7 +30,6 @@ from .series import (
     RationalSeries,
     i_series,
     log_derivative_ord,
-    log_derivative_series,
     reciprocal_check,
 )
 from .sweep import SweepRecord, admissible_orders, emit, run_sweep
@@ -71,7 +70,6 @@ __all__ = [
     "i_series",
     "is_prime",
     "log_derivative_ord",
-    "log_derivative_series",
     "make_context",
     "n_sequence",
     "numeric_periods",

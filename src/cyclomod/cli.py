@@ -7,7 +7,9 @@ CSV where a table is the natural shape); diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 Configuration precedence: flags, then CYCLOMOD_* environment variables,
 then defaults.  The environment controls only scale guards (CYCLOMOD_MAX_P)
-and worker count (CYCLOMOD_JOBS).
+and worker count (CYCLOMOD_JOBS).  Both follow one policy: a malformed
+value is refused as invalid input (exit 2) with the variable named, never
+ignored.
 """
 
 from __future__ import annotations
@@ -18,23 +20,36 @@ import os
 import sys
 
 from . import closedform, cyclotomy, oracle, periods, series, sweep, waring
-from .ffield import make_context, primes_in_range
-from .errors import CyclomodError, DegenerateOrder, InputError
+from .ffield import is_prime, make_context, primes_in_range
+from .errors import CyclomodError, DegenerateOrder, InputError, NotPrime
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _env_jobs() -> int:
+    raw = os.environ.get("CYCLOMOD_JOBS")
     if not raw:
-        return default
+        return 1
     try:
         return int(raw)
     except ValueError:
-        print(f"warning: ignoring non-integer {name}={raw!r}", file=sys.stderr)
-        return default
+        raise InputError(f"CYCLOMOD_JOBS={raw!r} is not an integer") from None
+
+
+def _prime_bounds(args) -> tuple[int, int]:
+    """The sweep/verify range; a lone -p must itself be prime."""
+    single = args.pmin is None and args.pmax is None and args.prime is not None
+    if single and not is_prime(args.prime):
+        raise NotPrime(args.prime)
+    pmin = args.pmin if args.pmin is not None else args.prime
+    pmax = args.pmax if args.pmax is not None else args.prime
+    if pmin is None or pmax is None:
+        raise ValueError(
+            f"{args.command} needs --pmin/--pmax (or -p for a single prime)"
+        )
+    return pmin, pmax
 
 
 def _context(args):
@@ -189,11 +204,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pmin = args.pmin if args.pmin is not None else args.prime
-    pmax = args.pmax if args.pmax is not None else args.prime
-    if pmin is None or pmax is None:
-        raise ValueError("sweep needs --pmin/--pmax (or -p for a single prime)")
-    jobs = args.jobs if args.jobs is not None else _env_int("CYCLOMOD_JOBS", 1)
+    pmin, pmax = _prime_bounds(args)
+    jobs = args.jobs if args.jobs is not None else _env_jobs()
     skip: set[tuple[int, int]] = set()
     out = sys.stdout
     opened = None
@@ -231,10 +243,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pmin = args.pmin if args.pmin is not None else args.prime
-    pmax = args.pmax if args.pmax is not None else args.prime
-    if pmin is None or pmax is None:
-        raise ValueError("verify needs -p or --pmin/--pmax")
+    pmin, pmax = _prime_bounds(args)
     failed = 0
     total = 0
     for p in primes_in_range(pmin, pmax):

@@ -54,7 +54,9 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending, by trial division."""
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"prime_factors needs n >= 1, got {n}")
     found = []
     for q in (2, 3):
         if n % q == 0:

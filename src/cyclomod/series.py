@@ -1,4 +1,4 @@
-"""Exact rational power series attached to each power class.
+"""Exact power series attached to each power class.
 
 For class j define I_j(T) = sum c_k T^k by c_0 = 1 and
 
@@ -11,10 +11,14 @@ first nonzero coefficient) is therefore the minimal representation length
 for the class with class(-a) = j, giving a third, series-side route to the
 same answer.
 
-Every coefficient is a Fraction and every zero test is exact; floating
-point is banned in this module because the valuation is a strict zero
-test.  k! * c_k is always an integer (immediate from the recurrence by
-induction), which the test suite asserts for everything computed.
+k! * c_k is always an integer (immediate from the recurrence by
+induction), and so is k! * b_k for the coefficients b_k of 1/I_j.  The
+valuation scan therefore runs on these k!-scaled integers: every product
+becomes a binomial-weighted integer convolution, the zero test is exact
+integer arithmetic, and no Fraction is built or normalised.  Fraction
+remains only in i_series, the public exact view of I_j, whose
+integrality the test suite asserts independently.  Floating point is
+banned in this module because the valuation is a strict zero test.
 
 For j = 0 the series is the reversed period polynomial: all coefficients
 past degree d vanish.  For j != 0 it is never a polynomial.
@@ -24,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
-from .errors import AllZeroToOrder
+from .errors import AllZeroToOrder, SanityFailure
 from .periods import PeriodPolynomial
 from .waring import NSequence
 
@@ -51,51 +56,6 @@ class RationalSeries:
                 return k
         return None
 
-    def derivative(self) -> "RationalSeries":
-        return RationalSeries(
-            tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-        )
-
-    def inverse(self, order: int) -> "RationalSeries":
-        """Multiplicative inverse, truncated; requires a nonzero constant."""
-        a = self.coeffs
-        if not a or a[0] == 0:
-            raise ZeroDivisionError("series with zero constant term")
-        inv0 = 1 / a[0]
-        b = [inv0]
-        for k in range(1, order + 1):
-            acc = _ZERO
-            for l in range(1, min(k, self.order) + 1):
-                acc += a[l] * b[k - l]
-            b.append(-inv0 * acc)
-        return RationalSeries(tuple(b))
-
-    def multiply(self, other: "RationalSeries", order: int) -> "RationalSeries":
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(order + 1):
-            acc = _ZERO
-            lo = max(0, k - len(b) + 1)
-            hi = min(k, len(a) - 1)
-            for i in range(lo, hi + 1):
-                acc += a[i] * b[k - i]
-            out.append(acc)
-        return RationalSeries(tuple(out))
-
-    def subtract(self, other: "RationalSeries") -> "RationalSeries":
-        order = min(self.order, other.order)
-        return RationalSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(order + 1))
-        )
-
-    @staticmethod
-    def geometric(ratio: int, order: int) -> "RationalSeries":
-        """1 / (1 - ratio*T) truncated: coefficients ratio^k."""
-        out = [_ONE]
-        for _ in range(order):
-            out.append(out[-1] * ratio)
-        return RationalSeries(tuple(out))
-
 
 def i_series(seq: NSequence, j: int, order: int) -> RationalSeries:
     """The class series I_j to the given truncation order."""
@@ -114,51 +74,49 @@ def i_series(seq: NSequence, j: int, order: int) -> RationalSeries:
     return RationalSeries(tuple(c))
 
 
-def log_derivative_series(seq: NSequence, j: int, order: int) -> RationalSeries:
-    """The difference series 1/(1 - f*T) - I_j'/I_j, truncated at order.
-
-    Built literally: invert I_j, multiply by its derivative, subtract from
-    the geometric series.  The k-th coefficient equals (f^k + n(k, j)),
-    i.e. p times a representation count; the coefficient at k = 0 is
-    always zero.
-    """
-    source = i_series(seq, j, order + 1)
-    ratio = source.derivative().multiply(source.inverse(order), order)
-    return RationalSeries.geometric(seq.ctx.f, order).subtract(ratio)
-
-
 def _difference_terms(seq: NSequence, j: int, order: int):
     """Yield (k, D_k) for the difference series, one coefficient at a time.
 
-    Runs the same inversion-and-product arithmetic as log_derivative_series
-    but incrementally, so a caller hunting for the valuation can stop at
-    the first nonzero coefficient instead of materializing the whole
-    truncation.  The two paths are asserted equal in the test suite.
+    Inverts I_j and multiplies by I_j' in k!-scaled integers, with
+    C_k = k! c_k, B_k = k! b_k for 1/I_j and N_t = t! n(t, j):
+
+        C_{m+1} = -sum_{l<=m} binom(m, l) C_l N_{m-l}
+        B_m = -sum_{1<=l<=m} binom(m, l) C_l B_{m-l}
+        k! D_k = k! f^k - sum_{i<=k} binom(k, i) C_{i+1} B_{k-i}
+
+    All three sums at step k use the same binomial row.  D_k is recovered
+    by an exact division by k!, so the integrality of every scanned
+    coefficient is checked: a remainder raises SanityFailure.  Terms are
+    lazy, so a caller hunting for the valuation stops at the first nonzero
+    coefficient.
     """
     ctx = seq.ctx
     j %= ctx.d
-    c = [_ONE]  # I_j
-    b = [_ONE]  # 1/I_j (valid since c_0 = 1)
-    nvals: list[int] = []
-    fk = _ONE
+    big_c = [1]  # C_0..C_{k+1}
+    big_b = [1]  # B_0..B_k
+    big_n: list[int] = []  # N_0..N_k
+    row = [1]  # binom(k, 0..k)
+    kfac = 1
+    fk = 1
     for k in range(order + 1):
-        while len(c) <= k + 1:  # derivative at k needs c_{k+1}
-            m = len(c)
-            nvals.append(seq.n(m - 1, j))
-            acc = _ZERO
-            for l in range(m):
-                acc += c[l] * nvals[m - 1 - l]
-            c.append(-acc / m)
-        while len(b) <= k:
-            m = len(b)
-            acc = _ZERO
-            for l in range(1, m + 1):
-                acc += c[l] * b[m - l]
-            b.append(-acc)
-        ratio_k = _ZERO
-        for i in range(k + 1):
-            ratio_k += (i + 1) * c[i + 1] * b[k - i]
-        yield k, fk - ratio_k
+        if k:
+            row = [1, *map(add, row, row[1:]), 1]
+            kfac *= k
+        big_n.append(kfac * seq.n(k, j))
+        weighted = list(map(mul, row, big_c))  # binom(k, l) C_l, l <= k
+        big_c.append(-sum(map(mul, weighted, reversed(big_n))))
+        if k:
+            big_b.append(-sum(map(mul, weighted[1:], reversed(big_b))))
+        scaled = kfac * fk - sum(
+            map(mul, map(mul, row, big_c[1:]), reversed(big_b))
+        )
+        value, rem = divmod(scaled, kfac)
+        if rem:
+            raise SanityFailure(
+                f"{k}! * D_{k} is not divisible by {k}! for class j={j} "
+                f"(p={ctx.p}, d={ctx.d})"
+            )
+        yield k, value
         fk *= ctx.f
 
 

@@ -3,17 +3,22 @@
 Everything here is deliberately naive and self-contained so it can
 arbitrate against the production code paths: the cyclotomic table comes
 from the literal definitional double loop, reachability from literal
-boolean matrix powers, and the count identities from integer matrix powers
-of the table itself.
+boolean matrix powers, the count identities from integer matrix powers
+of the table itself, and the series difference from literal Fraction
+inversion and multiplication of I_j.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
 from cyclomod import make_context
 from cyclomod.cyclotomy import CyclotomyTable
 from cyclomod.ffield import FieldContext
+from cyclomod.series import RationalSeries, i_series
+from cyclomod.waring import NSequence
 
 
 def definitional_cyclotomic_counts(ctx: FieldContext) -> list[list[int]]:
@@ -77,6 +82,69 @@ def count_matrix_powers(table: CyclotomyTable, up_to: int) -> list:
     for _ in range(up_to):
         powers.append(int_matrix_multiply(powers[-1], counts))
     return powers
+
+
+def series_derivative(s: RationalSeries) -> RationalSeries:
+    return RationalSeries(tuple(k * c for k, c in enumerate(s.coeffs) if k >= 1))
+
+
+def series_inverse(s: RationalSeries, order: int) -> RationalSeries:
+    """Multiplicative inverse, truncated; requires a nonzero constant."""
+    a = s.coeffs
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series with zero constant term")
+    inv0 = 1 / a[0]
+    b = [inv0]
+    for k in range(1, order + 1):
+        acc = Fraction(0)
+        for l in range(1, min(k, s.order) + 1):
+            acc += a[l] * b[k - l]
+        b.append(-inv0 * acc)
+    return RationalSeries(tuple(b))
+
+
+def series_multiply(
+    s: RationalSeries, other: RationalSeries, order: int
+) -> RationalSeries:
+    a, b = s.coeffs, other.coeffs
+    out = []
+    for k in range(order + 1):
+        acc = Fraction(0)
+        lo = max(0, k - len(b) + 1)
+        hi = min(k, len(a) - 1)
+        for i in range(lo, hi + 1):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return RationalSeries(tuple(out))
+
+
+def series_subtract(s: RationalSeries, other: RationalSeries) -> RationalSeries:
+    order = min(s.order, other.order)
+    return RationalSeries(
+        tuple(s.coeffs[k] - other.coeffs[k] for k in range(order + 1))
+    )
+
+
+def geometric_series(ratio: int, order: int) -> RationalSeries:
+    """1 / (1 - ratio*T) truncated: coefficients ratio^k."""
+    out = [Fraction(1)]
+    for _ in range(order):
+        out.append(out[-1] * ratio)
+    return RationalSeries(tuple(out))
+
+
+def log_derivative_series(seq: NSequence, j: int, order: int) -> RationalSeries:
+    """The difference series 1/(1 - f*T) - I_j'/I_j, truncated at order.
+
+    Built literally in Fractions: invert I_j, multiply by its derivative,
+    subtract from the geometric series.  The k-th coefficient equals
+    f^k + n(k, j); the coefficient at k = 0 is always zero.
+    """
+    source = i_series(seq, j, order + 1)
+    ratio = series_multiply(
+        series_derivative(source), series_inverse(source, order), order
+    )
+    return series_subtract(geometric_series(seq.ctx.f, order), ratio)
 
 
 @pytest.fixture(scope="session")

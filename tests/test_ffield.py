@@ -24,6 +24,13 @@ def test_prime_factors():
     assert prime_factors(96) == [2, 3]
     assert prime_factors(97) == [97]
     assert prime_factors(360) == [2, 3, 5]
+    assert prime_factors(1) == []
+
+
+@pytest.mark.parametrize("n", [0, -12])
+def test_prime_factors_rejects_non_positive(n):
+    with pytest.raises(ValueError):
+        prime_factors(n)
 
 
 def test_primes_in_range():

@@ -2,11 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import (
+    geometric_series,
+    log_derivative_series,
+    series_derivative,
+    series_inverse,
+    series_multiply,
+)
 from cyclomod import (
     compute_table,
     i_series,
     log_derivative_ord,
-    log_derivative_series,
     make_context,
     n_sequence,
     period_polynomial,
@@ -31,17 +37,17 @@ def test_rational_series_basics():
     assert s.order == 3
     assert s.valuation() == 2
     assert RationalSeries((Fraction(0),)).valuation() is None
-    assert s.derivative().coeffs == (Fraction(0), Fraction(6), Fraction(3))
+    assert series_derivative(s).coeffs == (Fraction(0), Fraction(6), Fraction(3))
 
 
 def test_rational_series_inverse_and_multiply():
     one_minus_t = RationalSeries((Fraction(1), Fraction(-1)))
-    inv = one_minus_t.inverse(5)
+    inv = series_inverse(one_minus_t, 5)
     assert inv.coeffs == tuple(Fraction(1) for _ in range(6))
-    assert one_minus_t.multiply(inv, 5).coeffs == (Fraction(1),) + tuple(
+    assert series_multiply(one_minus_t, inv, 5).coeffs == (Fraction(1),) + tuple(
         Fraction(0) for _ in range(5)
     )
-    geo = RationalSeries.geometric(3, 4)
+    geo = geometric_series(3, 4)
     assert geo.coeffs == (1, 3, 9, 27, 81)
 
 
@@ -151,6 +157,41 @@ def test_ord_matches_recurrence_solver():
             assert log_derivative_ord(seq, j) == s_by_recurrence(seq, alpha)
 
 
+def test_ord_matches_recurrence_p199_d198_every_class():
+    ctx = make_context(199, 198)
+    seq = n_sequence(compute_table(ctx), 1)
+    for alpha in range(1, 198):
+        j = (alpha + ctx.theta) % 198
+        assert log_derivative_ord(seq, j) == s_by_recurrence(seq, alpha), alpha
+
+
+def test_integer_terms_match_fraction_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.sampled_from(primes_in_range(3, 400)))
+        orders = [d for d in admissible_orders(p) if d <= 40]
+        hypothesis.assume(orders)
+        d = draw(st.sampled_from(orders))
+        return p, d, draw(st.integers(min_value=0, max_value=d - 1))
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        p, d, j = case
+        ctx = make_context(p, d)
+        seq = n_sequence(compute_table(ctx), 1)
+        oracle = log_derivative_series(seq, j, d + 2)
+        lazy = [v for _, v in _difference_terms(seq, j, d + 2)]
+        assert lazy == list(oracle.coeffs)
+        alpha = (j - ctx.theta) % d
+        assert log_derivative_ord(seq, j) == s_by_recurrence(seq, alpha)
+
+    check()
+
+
 def test_all_zero_guard_raises():
     # a stub sequence with n(k, j) = -f^k makes every difference
     # coefficient vanish, which must trip the retry cap, not loop
@@ -169,6 +210,26 @@ def test_all_zero_guard_raises():
 
     with pytest.raises(AllZeroToOrder):
         log_derivative_ord(VanishingStub(), 1)
+
+
+def test_non_integral_difference_coefficient_raises():
+    # the scan divides k! * D_k by k! exactly; a half-integer n(k, j) makes
+    # D_0 = 3/2, which must raise instead of being floored to 1
+    from cyclomod.errors import SanityFailure
+
+    real = _seq(7, 3)
+
+    class HalfStub:
+        ctx = real.ctx
+
+        def n(self, k, j):
+            return Fraction(1, 2)
+
+        def extend(self, k_max):
+            pass
+
+    with pytest.raises(SanityFailure):
+        log_derivative_ord(HalfStub(), 1)
 
 
 def test_argument_validation():

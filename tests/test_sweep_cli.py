@@ -298,6 +298,30 @@ def test_cli_not_prime_exits_2(capsys):
     assert capsys.readouterr().err == "error: 9 is not a supported prime modulus\n"
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_cli_single_non_prime_exits_2(command, capsys):
+    assert main([command, "-p", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 9 is not a supported prime modulus\n"
+
+
+def test_cli_prime_free_range_is_empty_not_refused(capsys):
+    assert main(["sweep", "--pmin", "8", "--pmax", "10"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["verify", "--pmin", "8", "--pmax", "10"]) == 0
+    assert capsys.readouterr().out == "0/0 checks passed\n"
+
+
+def test_cli_malformed_jobs_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CYCLOMOD_JOBS", "abc")
+    assert main(["sweep", "-p", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CYCLOMOD_JOBS='abc' is not an integer\n"
+    assert "ignoring" not in captured.err
+
+
 def test_cli_bare_cyclomod_error_exits_1(monkeypatch, capsys):
     import cyclomod.sweep as sweep_module
 
