@@ -10,9 +10,8 @@ oracle) must agree before an answer is reported.
 from .closedform import (
     DiophantineWitness,
     QuadFormRep,
+    closed_g,
     diophantine_witness,
-    g3_closed,
-    g4_closed,
     represent,
     resolve_sign,
 )
@@ -60,13 +59,12 @@ __all__ = [
     "WaringSolution",
     "admissible_orders",
     "brute_s",
+    "closed_g",
     "compute_table",
     "count_representations",
     "diophantine_witness",
     "dp_counts",
     "emit",
-    "g3_closed",
-    "g4_closed",
     "i_series",
     "is_prime",
     "log_derivative_ord",

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import closedform, cyclotomy, oracle, periods, series, sweep, waring
-from .ffield import is_prime, make_context, primes_in_range
+from .ffield import is_prime, make_context
 from .errors import CyclomodError, DegenerateOrder, InputError, NotPrime
 
 EXIT_OK = 0
@@ -156,40 +156,29 @@ def cmd_series(args) -> int:
 
 def cmd_closed(args) -> int:
     p, d = args.prime, args.order
-    if d == 3:
-        g = closedform.g3_closed(p)
-        kind = closedform.KIND_D3
-        names = ("L", "M")
-    elif d == 4:
-        g = closedform.g4_closed(p)
-        kind = closedform.KIND_D4
-        names = ("x", "y")
-    else:
-        raise ValueError(f"closed forms exist for d=3 and d=4 only, got {d}")
-    rep = closedform.represent(p, kind)
-    ctx = make_context(p, d, max_p=args.max_p)
-    resolved = closedform.resolve_sign(rep, cyclotomy.compute_table(ctx))
+    # refuse p outside the order's class before make_context, which would
+    # answer a degenerate order (gcd(d, p-1) = 1) with the trivial payload
+    closedform.closed_g(p, d)
+    table = cyclotomy.compute_table(make_context(p, d, max_p=args.max_p))
+    cert = closedform.certify(table)
+    names = ("L", "M") if d == 3 else ("x", "y")
     payload: dict[str, object] = {
         "p": str(p),
         "d": str(d),
-        "g": str(g),
+        "g": str(cert.g),
         "representation": {
-            "kind": kind,
-            names[0]: str(resolved.first),
-            names[1]: str(resolved.second),
+            "kind": cert.rep.kind,
+            names[0]: str(cert.rep.first),
+            names[1]: str(cert.rep.second),
         },
     }
     if d == 4:
-        witness = closedform.diophantine_witness(p)
-        payload["witness"] = (
-            None
-            if witness is None
-            else {
-                "parity": witness.parity,
-                "alphas": [str(a) for a in witness.alphas],
-                "worst_case_4": witness.worst_case_4,
-            }
-        )
+        w = cert.witness
+        payload["witness"] = None if w is None else {
+            "parity": w.parity,
+            "alphas": [str(a) for a in w.alphas],
+            "worst_case_4": w.worst_case_4,
+        }
     _print_json(payload)
     return EXIT_OK
 
@@ -246,18 +235,17 @@ def cmd_verify(args) -> int:
     pmin, pmax = _prime_bounds(args)
     failed = 0
     total = 0
-    for p in primes_in_range(pmin, pmax):
-        for d in sweep.admissible_orders(p, args.order):
-            solution = waring.solve(make_context(p, d, max_p=args.max_p))
-            for check in sweep.full_checks(solution):
-                total += 1
-                mark = "PASS" if check.passed else "FAIL"
-                line = f"{mark} (p={p}, d={d}) {check.name}"
-                if check.detail and not check.passed:
-                    line += f": {check.detail}"
-                print(line)
-                if not check.passed:
-                    failed += 1
+    for p, d in sweep.record_keys(pmin, pmax, args.order):
+        solution = waring.solve(make_context(p, d, max_p=args.max_p))
+        for check in sweep.full_checks(solution):
+            total += 1
+            mark = "PASS" if check.passed else "FAIL"
+            line = f"{mark} (p={p}, d={d}) {check.name}"
+            if check.detail and not check.passed:
+                line += f": {check.detail}"
+            print(line)
+            if not check.passed:
+                failed += 1
     print(f"{total - failed}/{total} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION
 

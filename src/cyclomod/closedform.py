@@ -1,17 +1,21 @@
 """Closed forms for orders 3 and 4 via binary quadratic form representations.
 
 For d = 3, write 4p = L^2 + 27 M^2 with L = 1 mod 3; for d = 4, write
-p = x^2 + 4 y^2 with x = 1 mod 4.  Dickson's classical formulas express
-every cyclotomic number of order 3 or 4 in terms of (L, M) or (x, y), up
-to the sign of the second component, which depends on the choice of
-generator.  resolve_sign pins that sign by matching the counted table and
-then insists the whole formula table agrees entry by entry.
+p = x^2 + 4 y^2 with x = 1 mod 4.  Dickson's classical formulas give the
+whole cyclotomic table of order 3 or 4 in terms of (L, M) or (x, y), up to
+the sign of the second component, which depends on the choice of
+generator.  formula_table builds it: four numbers A..D laid out as
+[[A, B, C], [B, C, D], [C, D, B]] for order 3, five numbers A..E in one
+of two layouts (f even or odd) for order 4.  resolve_sign pins the sign by
+comparing the whole formula table with the counted one.
 
 The closed-form answers themselves collapse to tiny case lists: order 3
 needs 3 summands only at p = 7, order 4 needs 4 at p = 5 and 3 exactly at
 p in {13, 17, 29}.  diophantine_witness reproduces the certificate behind
 those lists: a handful of diophantine equations that the representation of
 p satisfies precisely when some class needs more than two summands.
+certify bundles the closed g, the sign-resolved representation and the
+witness for one counted table.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .cyclotomy import CyclotomyTable
+from .cyclotomy import CyclotomyTable, walk_lengths
 from .errors import (
     FormulaMismatch,
     NoRepresentation,
@@ -32,6 +36,7 @@ from .ffield import is_prime
 #: kind tags for the two supported quadratic forms
 KIND_D3 = "d3"  # 4p = L^2 + 27 M^2, L = 1 mod 3
 KIND_D4 = "d4"  # p = x^2 + 4 y^2,  x = 1 mod 4
+KINDS = {3: KIND_D3, 4: KIND_D4}
 
 
 @dataclass(frozen=True)
@@ -49,24 +54,27 @@ class QuadFormRep:
     sign_resolved: bool = False
 
 
+def _require_class(p: int, d: int) -> None:
+    """Refuse p unless it is a prime with p = 1 mod d."""
+    if not is_prime(p):
+        raise NotPrime(p)
+    if p % d != 1:
+        raise WrongResidueClass(f"p={p} is not 1 mod {d}")
+
+
 def represent(p: int, kind: str) -> QuadFormRep:
     """Exhaustive search for the (essentially unique) representation.
 
     The search doubles as a uniqueness check: finding zero or several
     solutions means the input was invalid or an assumption broke.
     """
-    if not is_prime(p):
-        raise NotPrime(p)
     if kind == KIND_D3:
-        if p % 3 != 1:
-            raise WrongResidueClass(f"p={p} is not 1 mod 3")
-        target, scale, modulus = 4 * p, 27, 3
+        modulus, target, scale = 3, 4 * p, 27
     elif kind == KIND_D4:
-        if p % 4 != 1:
-            raise WrongResidueClass(f"p={p} is not 1 mod 4")
-        target, scale, modulus = p, 4, 4
+        modulus, target, scale = 4, p, 4
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    _require_class(p, modulus)
 
     found = []
     second = 1
@@ -89,87 +97,39 @@ def represent(p: int, kind: str) -> QuadFormRep:
     return QuadFormRep(kind=kind, first=first, second=second)
 
 
-def _d3_formula_entries(p: int, big_l: int, m: int) -> tuple[int, int] | None:
-    """((0,1), (0,2)) from the order-3 formulas, or None if non-integral."""
-    a = 2 * p - 4 - big_l + 9 * m
-    b = 2 * p - 4 - big_l - 9 * m
-    if a % 18 or b % 18 or a < 0 or b < 0:
-        return None
-    return a // 18, b // 18
+def formula_table(
+    p: int, kind: str, first: int, second: int
+) -> list[list[int]] | None:
+    """Dickson's full d x d cyclotomic table, or None if non-integral.
 
-
-def _d3_matches(table: CyclotomyTable, big_l: int, m: int) -> bool:
-    """Full order-3 validation: formula entries plus row-sum constraints.
-
-    The formulas pin (0,1) and (0,2); symmetry pins (1,0) and (2,0); the
-    row-sum identities pin (0,0) and constrain the remaining inner entries,
-    which have no published formula of their own.
+    scaled lists Dickson's numbers A, B, C, ... times a common scale, and
+    layout places them.  Order 3 (f is always even): 9A = p - 8 + L,
+    18B = 2p - 4 - L + 9M, 18C = 2p - 4 - L - 9M and 9D = p + 1 + L.
+    Order 4 has an even-f and an odd-f variant (f is even exactly when
+    p = 1 mod 8).
     """
-    p = table.ctx.p
-    f = table.ctx.f
-    entries = _d3_formula_entries(p, big_l, m)
-    if entries is None:
-        return False
-    c01, c02 = entries
-    t = table.counts
-    return (
-        t[0][1] == c01
-        and t[0][2] == c02
-        and t[0][0] == f - 1 - c01 - c02
-        and t[1][0] == c01
-        and t[2][0] == c02
-        and t[1][2] == t[2][1]
-        and sum(t[1]) == f
-        and sum(t[2]) == f
-    )
-
-
-def d4_formula_table(p: int, x: int, y: int) -> list[list[int]] | None:
-    """The full 4x4 cyclotomic table from (x, y), or None if non-integral.
-
-    Chooses the even-f or odd-f variant from p mod 16 (f is even exactly
-    when p = 1 mod 8).
-    """
-    f_even = (p - 1) % 8 == 0
-    if f_even:
-        raw = {
-            (0, 0): p - 11 - 6 * x,
-            (0, 1): p - 3 + 2 * x + 8 * y,
-            (0, 2): p - 3 + 2 * x,
-            (0, 3): p - 3 + 2 * x - 8 * y,
-            (1, 2): p + 1 - 2 * x,
-        }
+    if kind == KIND_D3:
+        big_l, m = first, second
+        scale, layout = 18, ("ABC", "BCD", "CDB")
+        scaled = (2 * (p - 8 + big_l), 2 * p - 4 - big_l + 9 * m,
+                  2 * p - 4 - big_l - 9 * m, 2 * (p + 1 + big_l))
+    elif kind == KIND_D4:
+        x, y = first, second
+        scale = 16
+        if (p - 1) % 8 == 0:
+            layout = ("ABCD", "BDEE", "CECE", "DEEB")
+            scaled = (p - 11 - 6 * x, p - 3 + 2 * x + 8 * y, p - 3 + 2 * x,
+                      p - 3 + 2 * x - 8 * y, p + 1 - 2 * x)
+        else:
+            layout = ("ABCD", "EEDB", "AEAE", "EDBE")
+            scaled = (p - 7 + 2 * x, p + 1 + 2 * x - 8 * y, p + 1 - 6 * x,
+                      p + 1 + 2 * x + 8 * y, p - 3 - 2 * x)
     else:
-        raw = {
-            (0, 0): p - 7 + 2 * x,
-            (0, 1): p + 1 + 2 * x - 8 * y,
-            (0, 2): p + 1 - 6 * x,
-            (0, 3): p + 1 + 2 * x + 8 * y,
-            (1, 0): p - 3 - 2 * x,
-        }
-    base = {}
-    for key, value in raw.items():
-        if value % 16 or value < 0:
-            return None
-        base[key] = value // 16
-    if f_even:
-        e01, e02, e03 = base[(0, 1)], base[(0, 2)], base[(0, 3)]
-        e12 = base[(1, 2)]
-        return [
-            [base[(0, 0)], e01, e02, e03],
-            [e01, e03, e12, e12],
-            [e02, e12, e02, e12],
-            [e03, e12, e12, e01],
-        ]
-    e00 = base[(0, 0)]
-    e01, e02, e03 = base[(0, 1)], base[(0, 2)], base[(0, 3)]
-    e10 = base[(1, 0)]
-    return [
-        [e00, e01, e02, e03],
-        [e10, e10, e03, e01],
-        [e00, e10, e00, e10],
-        [e10, e03, e01, e10],
-    ]
+        raise ValueError(f"unknown kind {kind!r}")
+    if any(value % scale or value < 0 for value in scaled):
+        return None
+    entries = {name: value // scale for name, value in zip("ABCDE", scaled)}
+    return [[entries[name] for name in row] for row in layout]
 
 
 def resolve_sign(rep: QuadFormRep, table: CyclotomyTable) -> QuadFormRep:
@@ -180,20 +140,11 @@ def resolve_sign(rep: QuadFormRep, table: CyclotomyTable) -> QuadFormRep:
     the counted table disagree, i.e. a bug in one of the two modules.
     """
     ctx = table.ctx
-    if rep.kind == KIND_D3 and ctx.d != 3:
-        raise ValueError(f"order-3 representation against a d={ctx.d} table")
-    if rep.kind == KIND_D4 and ctx.d != 4:
-        raise ValueError(f"order-4 representation against a d={ctx.d} table")
-
+    if KINDS.get(ctx.d) != rep.kind:
+        raise ValueError(f"kind {rep.kind} representation against a d={ctx.d} table")
+    counts = [list(row) for row in table.counts]
     for second in (rep.second, -rep.second):
-        if rep.kind == KIND_D3:
-            ok = _d3_matches(table, rep.first, second)
-        else:
-            formula = d4_formula_table(ctx.p, rep.first, second)
-            ok = formula is not None and [
-                list(row) for row in table.counts
-            ] == formula
-        if ok:
+        if formula_table(ctx.p, rep.kind, rep.first, second) == counts:
             return replace(rep, second=second, sign_resolved=True)
     raise FormulaMismatch(
         f"no sign of {rep.second} matches the counted table for p={ctx.p}, "
@@ -201,26 +152,18 @@ def resolve_sign(rep: QuadFormRep, table: CyclotomyTable) -> QuadFormRep:
     )
 
 
-def g3_closed(p: int) -> int:
-    """Order-3 closed form: 3 summands at p = 7, else 2."""
-    if not is_prime(p):
-        raise NotPrime(p)
-    if p % 3 != 1:
-        raise WrongResidueClass(f"p={p} is not 1 mod 3")
-    return 3 if p == 7 else 2
+def closed_g(p: int, d: int) -> int:
+    """The closed form for order d; refuses p outside the order's class.
 
-
-def g4_closed(p: int) -> int:
-    """Order-4 closed form: 4 at p = 5; 3 at p in {13, 17, 29}; else 2."""
-    if not is_prime(p):
-        raise NotPrime(p)
-    if p % 4 != 1:
-        raise WrongResidueClass(f"p={p} is not 1 mod 4")
-    if p == 5:
-        return 4
-    if p in (13, 17, 29):
-        return 3
-    return 2
+    Order 3 needs 3 summands at p = 7, else 2.  Order 4 needs 4 at p = 5,
+    3 at p in {13, 17, 29}, else 2.
+    """
+    if d not in KINDS:
+        raise ValueError(f"closed forms exist for d=3 and d=4 only, got {d}")
+    _require_class(p, d)
+    if d == 3:
+        return 3 if p == 7 else 2
+    return {5: 4, 13: 3, 17: 3, 29: 3}.get(p, 2)
 
 
 #: the six certificate equations, keyed by (parity, class); each returns 0
@@ -249,21 +192,7 @@ class DiophantineWitness:
     worst_case_4: bool
 
 
-def _s4_from_matrix(matrix: list[list[int]], theta: int, alpha: int) -> int:
-    """Order-4 per-class answer from a (formula) table: the 2/3/4 trichotomy."""
-    if alpha % 4 == 0:
-        return 1
-    src = (alpha + theta) % 4
-    if matrix[src][theta]:
-        return 2
-    if any(matrix[src][i] and matrix[i][theta] for i in range(4)):
-        return 3
-    return 4
-
-
-def diophantine_witness(
-    p: int, f_parity: str | None = None, alpha: int | None = None
-) -> DiophantineWitness | None:
+def diophantine_witness(p: int) -> DiophantineWitness | None:
     """Which of the six certificate equations p's representation satisfies.
 
     Evaluated at the normalized representation (second component taken
@@ -272,26 +201,51 @@ def diophantine_witness(
     Returns None when no equation matches, which is the generic case and
     means every class is a sum of two fourth powers.
     """
-    rep = represent(p, KIND_D4)
-    f = (p - 1) // 4
-    parity = f_parity if f_parity is not None else ("even" if f % 2 == 0 else "odd")
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    x, y = rep.first, rep.second
+    return _witness(p, represent(p, KIND_D4))
 
-    candidates = (1, 2, 3) if alpha is None else (alpha,)
-    matched = tuple(
-        a for a in candidates if _WITNESS_EQUATIONS[(parity, a)](x, y) == 0
+
+def _witness(p: int, rep: QuadFormRep) -> DiophantineWitness | None:
+    parity = "even" if (p - 1) % 8 == 0 else "odd"
+    x, y = rep.first, abs(rep.second)
+    alphas = tuple(
+        a for a in (1, 2, 3) if _WITNESS_EQUATIONS[(parity, a)](x, y) == 0
     )
-    if not matched:
+    if not alphas:
         return None
-
-    formula = d4_formula_table(p, x, y)
+    formula = formula_table(p, KIND_D4, x, y)
     if formula is None:
         raise SanityFailure(f"formula table not integral for p={p}")
-    theta = 0 if f % 2 == 0 else 2
-    bool_matrix = [[1 if c else 0 for c in row] for row in formula]
-    worst = max(_s4_from_matrix(bool_matrix, theta, a) for a in range(4))
-    return DiophantineWitness(
-        parity=parity, alphas=matched, worst_case_4=(worst == 4)
+    theta = 0 if parity == "even" else 2
+    dist = walk_lengths(
+        [[(j, c) for j, c in enumerate(row) if c] for row in formula], theta
     )
+    # class alpha needs dist + 1 summands: four means no walk of length <= 2
+    return DiophantineWitness(
+        parity=parity,
+        alphas=alphas,
+        worst_case_4=any(dist[(a + theta) % 4] not in (1, 2) for a in (1, 2, 3)),
+    )
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Closed-form view of one order-3 or order-4 table.
+
+    rep is sign-resolved against the table; witness is None for d = 3.
+    """
+
+    g: int
+    rep: QuadFormRep
+    witness: DiophantineWitness | None
+
+
+def certify(table: CyclotomyTable) -> Certificate:
+    """Closed g, sign-resolved representation and (d = 4) witness for a table.
+
+    FormulaMismatch means no sign of the representation reproduces the
+    counted table.
+    """
+    p, d = table.ctx.p, table.ctx.d
+    g = closed_g(p, d)
+    rep = resolve_sign(represent(p, KINDS[d]), table)
+    return Certificate(g=g, rep=rep, witness=_witness(p, rep) if d == 4 else None)

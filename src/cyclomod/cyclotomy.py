@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from .ffield import FieldContext
 
@@ -44,27 +45,32 @@ class CyclotomyTable:
 
     @cached_property
     def walk_lengths_to_theta(self) -> tuple[int | None, ...]:
-        """Shortest walk length from each class to the class of -1.
+        """Shortest walk length from each class to the class of -1."""
+        return walk_lengths(self.row_supports, self.ctx.theta)
 
-        Walks live in the digraph with an edge i -> j wherever (i, j) is
-        nonzero.  One breadth-first search over the reversed edges serves
-        every source class at once; None marks an unreachable class.
-        """
-        d, theta = self.ctx.d, self.ctx.theta
-        reverse: list[list[int]] = [[] for _ in range(d)]
-        for i, support in enumerate(self.row_supports):
-            for j, _ in support:
-                reverse[j].append(i)
-        dist: list[int | None] = [None] * d
-        dist[theta] = 0
-        frontier = deque([theta])
-        while frontier:
-            j = frontier.popleft()
-            for i in reverse[j]:
-                if dist[i] is None:
-                    dist[i] = dist[j] + 1
-                    frontier.append(i)
-        return tuple(dist)
+
+def walk_lengths(row_supports: Sequence, target: int) -> tuple[int | None, ...]:
+    """Shortest walk length from each class to target.
+
+    Walks live in the digraph with an edge i -> j for every nonzero
+    (j, count) pair in row_supports[i].  One breadth-first search over the
+    reversed edges serves every source class at once; None marks an
+    unreachable class.
+    """
+    reverse: list[list[int]] = [[] for _ in row_supports]
+    for i, support in enumerate(row_supports):
+        for j, _ in support:
+            reverse[j].append(i)
+    dist: list[int | None] = [None] * len(reverse)
+    dist[target] = 0
+    frontier = deque([target])
+    while frontier:
+        j = frontier.popleft()
+        for i in reverse[j]:
+            if dist[i] is None:
+                dist[i] = dist[j] + 1
+                frontier.append(i)
+    return tuple(dist)
 
 
 def compute_table(ctx: FieldContext) -> CyclotomyTable:

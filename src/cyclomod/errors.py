@@ -77,10 +77,6 @@ class InternalDisagreement(CyclomodError):
         )
 
 
-class IntegralityFailure(CyclomodError):
-    """An exact integer division left a remainder; signals a bug."""
-
-
 class AllZeroToOrder(CyclomodError):
     """Every computed series coefficient vanished up to the retry cap."""
 

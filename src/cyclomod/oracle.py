@@ -18,8 +18,8 @@ from .errors import ScaleGuard, Unrepresentable, ZeroArgument
 from .ffield import FieldContext
 
 #: dp_counts is a test fixture, not a production path; keep it small.
-DEFAULT_ORACLE_MAX_P = 2000
-DEFAULT_ORACLE_MAX_K = 16
+ORACLE_MAX_P = 2000
+ORACLE_MAX_K = 16
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,13 @@ def power_set(ctx: FieldContext) -> frozenset[int]:
     return frozenset(out)
 
 
-def dp_counts(
-    ctx: FieldContext,
-    k_max: int,
-    *,
-    max_p: int = DEFAULT_ORACLE_MAX_P,
-    max_k: int = DEFAULT_ORACLE_MAX_K,
-) -> CountTable:
+def dp_counts(ctx: FieldContext, k_max: int) -> CountTable:
     """Exact counts by repeated cyclic convolution with the power indicator."""
     p = ctx.p
-    if p > max_p:
-        raise ScaleGuard(f"oracle counts capped at p <= {max_p}, got {p}")
-    if k_max > max_k:
-        raise ScaleGuard(f"oracle counts capped at k <= {max_k}, got {k_max}")
+    if p > ORACLE_MAX_P:
+        raise ScaleGuard(f"oracle counts capped at p <= {ORACLE_MAX_P}, got {p}")
+    if k_max > ORACLE_MAX_K:
+        raise ScaleGuard(f"oracle counts capped at k <= {ORACLE_MAX_K}, got {k_max}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
 

@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import IntegralityFailure, SanityFailure, ScaleGuard
+from .errors import SanityFailure, ScaleGuard
 from .ffield import FieldContext
 from .waring import NSequence
 
 #: numeric_periods is for validation only; summing 10^4 complex terms is
 #: already pushing what double precision can certify.
-DEFAULT_NUMERIC_MAX_P = 10_000
+NUMERIC_MAX_P = 10_000
 
 
 def numeric_tolerance(p: int) -> float:
@@ -89,7 +89,7 @@ def period_polynomial(seq: NSequence) -> PeriodPolynomial:
             sign = -sign
         quot, rem = divmod(acc, m)
         if rem:
-            raise IntegralityFailure(
+            raise SanityFailure(
                 f"Newton step m={m} not integral for p={seq.ctx.p}, d={d}"
             )
         e.append(quot)
@@ -103,9 +103,7 @@ def period_polynomial(seq: NSequence) -> PeriodPolynomial:
     return PeriodPolynomial(coeffs=coeffs)
 
 
-def numeric_periods(
-    ctx: FieldContext, *, max_p: int = DEFAULT_NUMERIC_MAX_P
-) -> list[complex]:
+def numeric_periods(ctx: FieldContext) -> list[complex]:
     """Float approximations of the periods, for tests only.
 
     eta_i = sum over k of exp(2*pi*I * omega^(d*k+i) / p).  Each eta is a
@@ -113,8 +111,8 @@ def numeric_periods(
     summation to keep cancellation error near machine epsilon.
     """
     p, d, f = ctx.p, ctx.d, ctx.f
-    if p > max_p:
-        raise ScaleGuard(f"numeric periods capped at p <= {max_p}, got {p}")
+    if p > NUMERIC_MAX_P:
+        raise ScaleGuard(f"numeric periods capped at p <= {NUMERIC_MAX_P}, got {p}")
     # powers[m] = omega^m mod p
     powers = [1] * (p - 1)
     for m in range(1, p - 1):

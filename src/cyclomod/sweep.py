@@ -89,6 +89,19 @@ def admissible_orders(p: int, d_filter: int | None = None) -> list[int]:
     return sorted(divisors)[1:]
 
 
+def record_keys(
+    p_min: int, p_max: int, d_filter: int | None = None
+) -> list[tuple[int, int]]:
+    """Every (p, d) key of a prime range in ascending order."""
+    if not 2 < p_min <= p_max:
+        raise ValueError(f"need 2 < p_min <= p_max, got {p_min}..{p_max}")
+    return [
+        (p, d)
+        for p in primes_in_range(p_min, p_max)
+        for d in admissible_orders(p, d_filter)
+    ]
+
+
 def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     """The verification battery behind verify_level=full and the verify command."""
     checks: list[CheckResult] = []
@@ -158,20 +171,17 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     )
 
     if d in (3, 4):
-        kind = closedform.KIND_D3 if d == 3 else closedform.KIND_D4
-        closed_g = closedform.g3_closed(p) if d == 3 else closedform.g4_closed(p)
         problems = []
-        if closed_g != solution.g:
-            problems.append(f"closed g={closed_g} vs solved g={solution.g}")
         try:
-            closedform.resolve_sign(closedform.represent(p, kind), table)
+            cert = closedform.certify(table)
         except CyclomodError as exc:
             problems.append(f"formula table: {exc}")
-        if d == 4:
-            witness = closedform.diophantine_witness(p)
-            if (witness is not None) != (solution.g > 2):
+        else:
+            if cert.g != solution.g:
+                problems.append(f"closed g={cert.g} vs solved g={solution.g}")
+            if d == 4 and (cert.witness is not None) != (solution.g > 2):
                 problems.append(
-                    f"witness presence {witness is not None} vs g={solution.g}"
+                    f"witness presence {cert.witness is not None} vs g={solution.g}"
                 )
         checks.append(
             CheckResult(
@@ -304,7 +314,7 @@ def _solve_job(args: tuple[int, int, str, int]):
     p, d, verify_level, max_p = args
     try:
         return ("ok", solve_single(p, d, verify_level, max_p))
-    except CyclomodError as exc:
+    except Exception as exc:  # whatever the type, the failure stays keyed
         return ("err", (p, d), f"{type(exc).__name__}: {exc}")
 
 
@@ -331,17 +341,10 @@ def run_sweep(
     """
     if verify_level not in ("fast", "full"):
         raise ValueError(f"verify_level must be fast or full, got {verify_level!r}")
-    if not 2 < p_min <= p_max:
-        raise ValueError(f"need 2 < p_min <= p_max, got {p_min}..{p_max}")
+    skip = skip or set()
+    keys = [k for k in record_keys(p_min, p_max, d_filter) if k not in skip]
     # a malformed CYCLOMOD_MAX_P refuses the sweep instead of every record
     max_p = _max_p_limit(max_p)
-    skip = skip or set()
-    keys = [
-        (p, d)
-        for p in primes_in_range(p_min, p_max)
-        for d in admissible_orders(p, d_filter)
-        if (p, d) not in skip
-    ]
     if out is not None and write_header and fmt == "csv":
         out.write(",".join(CSV_COLUMNS) + "\n")
         out.flush()

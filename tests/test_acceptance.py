@@ -15,12 +15,11 @@ import time
 
 from cyclomod import (
     brute_s,
+    closed_g,
     compute_table,
     count_representations,
     diophantine_witness,
     dp_counts,
-    g3_closed,
-    g4_closed,
     i_series,
     log_derivative_ord,
     make_context,
@@ -56,7 +55,7 @@ def test_order3_closed_form_reproduction():
             continue
         g = solve(make_context(p, 3)).g
         expected = 3 if p == 7 else 2
-        if g != expected or g != g3_closed(p):
+        if g != expected or g != closed_g(p, 3):
             bad.append((p, g, expected))
     elapsed = time.perf_counter() - start
     _report("order-3 worst case over p<=5000", bad, elapsed, 10)
@@ -72,7 +71,7 @@ def test_order4_closed_form_reproduction():
             continue
         g = solve(make_context(p, 4)).g
         expected = 4 if p == 5 else (3 if p in (13, 17, 29) else 2)
-        if g != expected or g != g4_closed(p):
+        if g != expected or g != closed_g(p, 4):
             bad.append((p, g, expected))
     elapsed = time.perf_counter() - start
     _report("order-4 worst case over p<=5000", bad, elapsed, 10)

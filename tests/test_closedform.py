@@ -1,17 +1,17 @@
 import pytest
 
 from cyclomod import (
+    closed_g,
     compute_table,
     diophantine_witness,
-    g3_closed,
-    g4_closed,
     make_context,
     primes_in_range,
     represent,
     resolve_sign,
     solve,
+    verify_identities,
 )
-from cyclomod.closedform import KIND_D3, KIND_D4, d4_formula_table
+from cyclomod.closedform import KIND_D3, KIND_D4, certify, formula_table
 from cyclomod.errors import FormulaMismatch, NotPrime, WrongResidueClass
 
 
@@ -69,14 +69,14 @@ def test_resolve_sign_p13_d4_f_odd():
     table = compute_table(make_context(13, 4))
     resolved = resolve_sign(represent(13, KIND_D4), table)
     assert resolved.second == -1  # frozen: generator 2 pairs with y = -1
-    formula = d4_formula_table(13, resolved.first, resolved.second)
+    formula = formula_table(13, KIND_D4, resolved.first, resolved.second)
     assert formula == [list(row) for row in table.counts]
 
 
 def test_resolve_sign_p17_d4_f_even():
     table = compute_table(make_context(17, 4))
     resolved = resolve_sign(represent(17, KIND_D4), table)
-    formula = d4_formula_table(17, resolved.first, resolved.second)
+    formula = formula_table(17, KIND_D4, resolved.first, resolved.second)
     assert formula == [list(row) for row in table.counts]
     assert formula[0][0] == 0  # 16*(0,0) = 17 - 11 - 6
 
@@ -91,33 +91,60 @@ def test_resolve_sign_rejects_foreign_table():
 
 
 def test_formula_tables_match_counts_over_range():
-    for p in primes_in_range(7, 400):
-        if p % 3 == 1:
-            table = compute_table(make_context(p, 3))
-            assert resolve_sign(represent(p, KIND_D3), table).sign_resolved
-        if p % 4 == 1:
-            table = compute_table(make_context(p, 4))
-            rep = resolve_sign(represent(p, KIND_D4), table)
-            formula = d4_formula_table(p, rep.first, rep.second)
-            assert formula == [list(row) for row in table.counts]
+    for p in primes_in_range(7, 1000):
+        for d, kind in ((3, KIND_D3), (4, KIND_D4)):
+            if p % d != 1:
+                continue
+            table = compute_table(make_context(p, d))
+            rep = resolve_sign(represent(p, kind), table)
+            formula = formula_table(p, kind, rep.first, rep.second)
+            assert formula == [list(row) for row in table.counts], (p, d)
+
+
+def test_resolve_sign_rejects_doctored_order3_table():
+    table = compute_table(make_context(13, 3))
+    assert table.counts == ((0, 1, 2), (1, 2, 1), (2, 1, 1))
+    # (1,1) and (2,2) up by one, (1,2) and (2,1) down by one: still
+    # symmetric with the row sums intact, so only the inner entries show it
+    doctored = type(table)(
+        ctx=table.ctx, counts=((0, 1, 2), (1, 3, 0), (2, 0, 2))
+    )
+    assert verify_identities(doctored).passed
+    with pytest.raises(FormulaMismatch):
+        resolve_sign(represent(13, KIND_D3), doctored)
+    with pytest.raises(FormulaMismatch):
+        certify(doctored)
+
+
+def test_certify_bundles_closed_form_for_both_orders():
+    cert3 = certify(compute_table(make_context(7, 3)))
+    assert cert3.g == 3 and cert3.witness is None
+    assert (cert3.rep.first, cert3.rep.second) == (1, -1)
+    assert cert3.rep.sign_resolved
+    cert4 = certify(compute_table(make_context(29, 4)))
+    assert cert4.g == 3
+    assert (cert4.rep.first, cert4.rep.second) == (5, -1)
+    assert cert4.witness == diophantine_witness(29)
+    with pytest.raises(ValueError):
+        certify(compute_table(make_context(11, 5)))
 
 
 def test_g3_closed():
-    assert g3_closed(7) == 3
-    assert g3_closed(13) == 2
-    assert g3_closed(9973) == 2
+    assert closed_g(7, 3) == 3
+    assert closed_g(13, 3) == 2
+    assert closed_g(9973, 3) == 2
     with pytest.raises(WrongResidueClass):
-        g3_closed(11)
+        closed_g(11, 3)
 
 
 def test_g4_closed():
-    assert g4_closed(5) == 4
-    assert g4_closed(13) == 3
-    assert g4_closed(17) == 3
-    assert g4_closed(29) == 3
-    assert g4_closed(37) == 2
+    assert closed_g(5, 4) == 4
+    assert closed_g(13, 4) == 3
+    assert closed_g(17, 4) == 3
+    assert closed_g(29, 4) == 3
+    assert closed_g(37, 4) == 2
     with pytest.raises(WrongResidueClass):
-        g4_closed(7)
+        closed_g(7, 4)
 
 
 def test_witness_examples():
@@ -136,12 +163,6 @@ def test_witness_examples():
     assert w17 is not None and w17.parity == "even"
     w29 = diophantine_witness(29)
     assert w29 is not None and w29.alphas == (2,)
-
-
-def test_witness_alpha_filter():
-    assert diophantine_witness(13, alpha=2) is None
-    narrowed = diophantine_witness(13, alpha=1)
-    assert narrowed is not None and narrowed.alphas == (1,)
 
 
 def test_witness_iff_g_exceeds_two():

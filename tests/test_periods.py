@@ -90,7 +90,7 @@ def test_numeric_periods_match_quadratic_identity():
 
 def test_numeric_periods_scale_guard():
     with pytest.raises(ScaleGuard):
-        numeric_periods(make_context(10007, 2, max_p=1 << 22), max_p=10_000)
+        numeric_periods(make_context(10007, 2, max_p=1 << 22))
 
 
 def test_coefficients_match_numeric_expansion():

@@ -181,6 +181,31 @@ def test_sweep_strict_aborts_on_failure(monkeypatch, capsys):
     assert "(p=7, d=3) failed" in capsys.readouterr().err
 
 
+def test_sweep_reports_any_exception_by_key(monkeypatch, capsys):
+    import cyclomod.sweep as sweep_module
+    from cyclomod.errors import CyclomodError
+
+    real = sweep_module.solve_single
+
+    def failing(p, d, verify_level, max_p=None):
+        if (p, d) == (7, 3):
+            raise RuntimeError("synthetic bug")
+        return real(p, d, verify_level, max_p)
+
+    monkeypatch.setattr(sweep_module, "solve_single", failing)
+    records = list(run_sweep(3, 11, verify_level="fast"))
+    keys = [(r.p, r.d) for r in records]
+    assert keys == [
+        (3, 2), (5, 2), (5, 4), (7, 2), (7, 6), (11, 2), (11, 5), (11, 10)
+    ]
+    assert capsys.readouterr().err == (
+        "sweep: (p=7, d=3) failed: RuntimeError: synthetic bug\n"
+    )
+    with pytest.raises(CyclomodError, match="RuntimeError: synthetic bug"):
+        list(run_sweep(3, 11, verify_level="fast", strict=True))
+    assert main(["sweep", "--pmin", "3", "--pmax", "11", "--strict"]) == 1
+
+
 # --- CLI surface ---
 
 
@@ -269,6 +294,48 @@ def test_cli_closed_rejects_other_orders(capsys):
     assert main(["closed", "-p", "29", "-d", "7"]) == 2
 
 
+_D3 = '{"p":"%s","d":"3","g":"%s","representation":{"kind":"d3","L":"%s","M":"%s"}}\n'
+_D4 = '{"p":"%s","d":"4","g":"%s","representation":{"kind":"d4","x":"%s","y":"%s"},'
+_W = '"witness":{"parity":"%s","alphas":[%s],"worst_case_4":%s}}\n'
+
+
+@pytest.mark.parametrize(
+    "p, d, expected",
+    [
+        (7, 3, _D3 % (7, 3, 1, -1)),
+        (13, 3, _D3 % (13, 2, -5, -1)),
+        (9973, 3, _D3 % (9973, 2, 70, 36)),
+        (5, 4, _D4 % (5, 4, 1, -1) + _W % ("odd", '"1","2"', "true")),
+        (13, 4, _D4 % (13, 3, -3, -1) + _W % ("odd", '"1"', "false")),
+        (17, 4, _D4 % (17, 3, 1, 2) + _W % ("even", '"3"', "false")),
+        (29, 4, _D4 % (29, 3, 5, -1) + _W % ("odd", '"2"', "false")),
+        (41, 4, _D4 % (41, 2, 5, 2) + '"witness":null}\n'),
+        (97, 4, _D4 % (97, 2, 9, -2) + '"witness":null}\n'),
+    ],
+)
+def test_cli_closed_golden(p, d, expected, capsys):
+    assert main(["closed", "-p", str(p), "-d", str(d)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "p, d, message",
+    [
+        # gcd(3, 28) = 1: refused before a field could answer it as degenerate
+        (29, 3, "p=29 is not 1 mod 3"),
+        (7, 4, "p=7 is not 1 mod 4"),
+        (25, 4, "25 is not a supported prime modulus"),
+    ],
+)
+def test_cli_closed_refusals_exit_2(p, d, message, capsys):
+    assert main(["closed", "-p", str(p), "-d", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_oracle(capsys):
     assert main(["oracle", "-p", "7", "-d", "3", "-k", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -296,6 +363,19 @@ def test_input_error_family():
 def test_cli_not_prime_exits_2(capsys):
     assert main(["sd", "-p", "9", "-d", "2"]) == 2
     assert capsys.readouterr().err == "error: 9 is not a supported prime modulus\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize(
+    "bounds, shown",
+    [(["-p", "2"], "2..2"), (["--pmin", "5", "--pmax", "3"], "5..3")],
+    ids=["p2", "inverted"],
+)
+def test_cli_bad_range_exits_2(command, bounds, shown, capsys):
+    assert main([command] + bounds) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need 2 < p_min <= p_max, got {shown}\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])
