@@ -9,7 +9,8 @@ Configuration precedence: flags, then CYCLOMOD_* environment variables,
 then defaults.  The environment controls only scale guards (CYCLOMOD_MAX_P)
 and worker count (CYCLOMOD_JOBS).  Both follow one policy: a malformed
 value is refused as invalid input (exit 2) with the variable named, never
-ignored.
+ignored.  A worker count below 1, from --jobs or CYCLOMOD_JOBS, is refused
+the same way.
 """
 
 from __future__ import annotations
@@ -28,14 +29,22 @@ EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 
 
-def _env_jobs() -> int:
-    raw = os.environ.get("CYCLOMOD_JOBS")
-    if not raw:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"CYCLOMOD_JOBS={raw!r} is not an integer") from None
+def _worker_count(args) -> int:
+    """--jobs, else CYCLOMOD_JOBS, else 1; a count below 1 is refused."""
+    if args.jobs is not None:
+        jobs, source = args.jobs, f"--jobs {args.jobs}"
+    else:
+        raw = os.environ.get("CYCLOMOD_JOBS")
+        if not raw:
+            return 1
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise InputError(f"CYCLOMOD_JOBS={raw!r} is not an integer") from None
+        source = f"CYCLOMOD_JOBS={raw!r}"
+    if jobs < 1:
+        raise InputError(f"{source}: need at least 1 worker")
+    return jobs
 
 
 def _prime_bounds(args) -> tuple[int, int]:
@@ -194,7 +203,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     pmin, pmax = _prime_bounds(args)
-    jobs = args.jobs if args.jobs is not None else _env_jobs()
+    jobs = _worker_count(args)
     skip: set[tuple[int, int]] = set()
     out = sys.stdout
     opened = None
@@ -322,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strict", action="store_true",
                     help="abort on the first failed record")
     sp.add_argument("--verify", choices=("fast", "full"), default="fast")
-    sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    sp.add_argument("--jobs", type=int,
+                    help="worker processes, at least 1 (default 1)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the full check battery, print PASS/FAIL")

@@ -3,45 +3,62 @@
 Fix a context (p, omega, d).  The cyclotomic number (i, j) counts pairs
 (u, v) with 1 + omega^(d*u+i) = omega^(d*v+j) mod p, for 0 <= u, v < f.
 Equivalently: elements x of power class i such that 1 + x lands in power
-class j.  One pass over x = 1..p-2 (skipping x = p-1, where 1 + x = 0)
-fills the whole d x d table in O(p); the definitional double loop is kept
-in the test suite as an independent oracle.
+class j.  The whole table holds only p-2 incidences (x = 1..p-2, skipping
+x = p-1, where 1 + x = 0), so it is counted in one O(p) pass straight into
+sparse rows: per class i, the nonzero (j, count) pairs.  The solvers work on
+those rows alone; the dense d x d matrix is derived from them only when a
+printer or a classical check asks for it.  The definitional double loop is
+kept in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import sys
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
+from .errors import ScaleGuard
 from .ffield import FieldContext
+
+#: Cap on the d x d-shaped memory and work one (p, d) may take, in cells:
+#: entries of the d x d table, or 64-bit words of the recurrence's worst
+#: case (waring.recurrence_cells).  Inputs over it are refused with
+#: ScaleGuard before anything d-sized is built.  d = p - 1 near 3060 needs
+#: 1.9e7 recurrence words; p = 20011, d = 20010 would need 8e8.
+MAX_CELLS = 3 * 10**7
+
+# memoryview formats of unsigned integers 1, 2, 4 and 8 bytes wide
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+# Incidences are coded and counted this many at a time.
+_RUN = 1 << 16
 
 
 @dataclass(frozen=True)
 class CyclotomyTable:
-    """The d x d integer matrix of cyclotomic numbers for one context."""
+    """The cyclotomic numbers of order d for one context, stored sparsely.
+
+    row_supports[i] holds the nonzero (j, count) pairs of row i, by column.
+    The whole table holds p-2 incidences, so iterating supports instead of
+    full rows keeps the linear-recurrence step at O(min(d*d, p)).
+    """
 
     ctx: FieldContext
-    counts: tuple[tuple[int, ...], ...] = field(repr=False)
+    row_supports: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @cached_property
-    def bool_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """0/1 matrix with entry 1 exactly where the count is nonzero."""
-        return tuple(
-            tuple(1 if c else 0 for c in row) for row in self.counts
-        )
-
-    @cached_property
-    def row_supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per row, the nonzero (column, count) pairs.
-
-        The whole table holds p-2 incidences, so iterating supports instead
-        of full rows keeps the linear-recurrence step at O(min(d*d, p)).
-        """
-        return tuple(
-            tuple((j, c) for j, c in enumerate(row) if c) for row in self.counts
-        )
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """The dense d x d matrix, derived from row_supports on first use."""
+        d = self.ctx.d
+        dense = []
+        for support in self.row_supports:
+            row = [0] * d
+            for j, c in support:
+                row[j] = c
+            dense.append(tuple(row))
+        return tuple(dense)
 
     @cached_property
     def walk_lengths_to_theta(self) -> tuple[int | None, ...]:
@@ -74,14 +91,46 @@ def walk_lengths(row_supports: Sequence, target: int) -> tuple[int | None, ...]:
 
 
 def compute_table(ctx: FieldContext) -> CyclotomyTable:
-    """Count all cyclotomic numbers of order d in one pass over the units."""
+    """Count all cyclotomic numbers of order d in one pass over the units.
+
+    Each incidence x = 1..p-2 is coded as class(x) * d + class(x + 1), a
+    number below d*d.  The codes are formed a run of x at a time: the
+    run's classes, widened to one code's width, are read as two big
+    integers (for x and for x + 1) with one digit per residue, and
+    class(x) * d + class(x + 1) never carries between digits.  Counting the
+    codes fills the sorted row supports directly; no d x d matrix is built.
+
+    A table with d*d > MAX_CELLS is refused before counting: its dense view
+    would exceed the cap, and the recurrence needs at least d*d cells.
+    """
     p, d = ctx.p, ctx.d
-    index = ctx.index_table
-    counts = [[0] * d for _ in range(d)]
-    # x runs over units with 1 + x != 0; x = p-1 is the single exclusion.
-    for x in range(1, p - 1):
-        counts[index[x] % d][index[x + 1] % d] += 1
-    return CyclotomyTable(ctx=ctx, counts=tuple(tuple(row) for row in counts))
+    if d * d > MAX_CELLS:
+        raise ScaleGuard(
+            f"p={p}, d={d}: the {d} x {d} table would need {d * d} cells, "
+            f"over the cap of {MAX_CELLS}"
+        )
+    classes = memoryview(ctx.index_table)
+    width = classes.itemsize
+    code_width = next(w for w in (1, 2, 4, 8) if d * d <= 256**w)
+    lead = 0 if sys.byteorder == "little" else code_width - width
+    tally: Counter[int] = Counter()
+    for lo in range(1, p - 1, _RUN):
+        hi = min(lo + _RUN, p - 1)  # x = lo..hi-1, so x + 1 reaches hi
+        digits = classes[lo : hi + 1].cast("B")
+        if code_width > width:
+            wide = bytearray(code_width * (hi + 1 - lo))
+            for b in range(width):
+                wide[lead + b :: code_width] = digits[b::width]
+            digits = memoryview(wide)
+        here = int.from_bytes(digits[:-code_width], sys.byteorder)
+        after = int.from_bytes(digits[code_width:], sys.byteorder)
+        codes = (here * d + after).to_bytes(code_width * (hi - lo), sys.byteorder)
+        tally.update(memoryview(codes).cast(_UNSIGNED[code_width]))
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for code in sorted(tally):
+        i, j = divmod(code, d)
+        rows[i].append((j, tally[code]))
+    return CyclotomyTable(ctx=ctx, row_supports=tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

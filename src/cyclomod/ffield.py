@@ -1,25 +1,35 @@
-"""Prime fields: primality, primitive roots, and the index (discrete log) table.
+"""Prime fields: primality, primitive roots, and the power-class array.
 
 A FieldContext fixes an odd prime p, the smallest positive primitive root
-omega, the full table of indices ind(a) with omega^ind(a) = a, an order d
-dividing p-1, the cofactor f = (p-1)/d, and theta, the class of -1 mod d.
-The index table is built by one full enumeration of the powers of omega, so
-construction is O(p) in time and memory; everything downstream is O(p) anyway.
+omega, an order d dividing p-1, the cofactor f = (p-1)/d, theta, the class
+of -1 mod d, and for every residue a its power class ind(a) mod d, where
+omega^ind(a) = a.  Every answer depends on the field only through those
+classes, so the full discrete log is not stored: the classes are one typed
+array (one byte per residue when d <= 256, two or four above that), filled
+by one walk over the powers of omega.  Construction is O(p) in time and
+O(p) bytes; ind(a) itself is recovered on demand by a walk of length f.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import cycle
 
 from .errors import (
     DegenerateOrder, InputError, NotPrime, SanityFailure, ScaleGuard, ZeroArgument,
 )
 
-#: Default cap on p.  Index tables take O(p) memory; raise the cap explicitly
-#: (max_p argument or CYCLOMOD_MAX_P) when you mean it.
+#: Default cap on p.  The power-class array takes one byte per residue for
+#: d <= 256 (4 MiB at the cap) and the table pass is O(p); raise the cap
+#: explicitly (max_p argument or CYCLOMOD_MAX_P) when you mean it.
 DEFAULT_MAX_P = 1 << 22
+
+# Powers of omega are produced and classified this many at a time.
+_WALK_BLOCK = 4096
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24, far
 # beyond the supported range.
@@ -125,18 +135,34 @@ class FieldContext:
     d: int
     f: int
     theta: int
-    index_table: tuple[int, ...] = field(repr=False)
+    #: Index mod d per residue: index_table[a] = ind(a) mod d for a in
+    #: 1..p-1 (entry 0 is unused).  A bytearray for d <= 256, else an array.
+    index_table: bytearray | array = field(repr=False, compare=False)
 
     def index_of(self, a: int) -> int:
-        """ind(a): the k in 0..p-2 with omega^k = a mod p."""
+        """ind(a): the k in 0..p-2 with omega^k = a mod p.
+
+        Only ind(a) mod d is stored, so this walks the f powers
+        omega^(alpha + d*u) of a's class alpha until one equals a: O(f).
+        """
+        alpha = self.class_of(a)
+        p, r = self.p, a % self.p
+        step = pow(self.omega, self.d, p)
+        x = pow(self.omega, alpha, p)
+        for u in range(self.f):
+            if x == r:
+                return alpha + self.d * u
+            x = x * step % p
+        raise SanityFailure(
+            f"{r} is not a power omega^k with k = {alpha} mod {self.d}"
+        )
+
+    def class_of(self, a: int) -> int:
+        """Power class of a: ind(a) mod d.  Class 0 is the d-th powers."""
         r = a % self.p
         if r == 0:
             raise ZeroArgument(a)
         return self.index_table[r]
-
-    def class_of(self, a: int) -> int:
-        """Power class of a: ind(a) mod d.  Class 0 is the d-th powers."""
-        return self.index_of(a) % self.d
 
     def element_of_class(self, alpha: int) -> int:
         """A canonical representative of class alpha: omega^alpha mod p."""
@@ -163,11 +189,7 @@ def make_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
         raise ScaleGuard(f"p={p} exceeds the configured cap {limit}")
 
     omega = smallest_primitive_root(p)
-    table = [-1] * p
-    x = 1
-    for k in range(p - 1):
-        table[x] = k
-        x = x * omega % p
+    classes, x = _power_classes(p, omega, d_eff)
     if x != 1:
         raise SanityFailure(f"omega={omega} does not have order p-1 mod {p}")
 
@@ -179,5 +201,31 @@ def make_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
             f"theta={theta} contradicts the parity rule for p={p}, d={d_eff}"
         )
     return FieldContext(
-        p=p, omega=omega, d=d_eff, f=f, theta=theta, index_table=tuple(table)
+        p=p, omega=omega, d=d_eff, f=f, theta=theta, index_table=classes
     )
+
+
+def _power_classes(p: int, omega: int, d: int) -> tuple[bytearray | array, int]:
+    """ind(a) mod d for every residue a, and omega^(p-1) mod p.
+
+    The powers omega^0 .. omega^(p-2) are produced a block at a time, each
+    block as one multiple of a fixed run of consecutive powers, and the k-th
+    power is labelled k mod d.  No p-length list of Python ints is built.
+    """
+    if d <= 256:
+        classes: bytearray | array = bytearray(p)
+    else:
+        classes = array("H" if d <= 1 << 16 else "I", [0]) * p
+    size = min(_WALK_BLOCK, p - 1)
+    run = [1] * size
+    for j in range(1, size):
+        run[j] = run[j - 1] * omega % p
+    stride = run[-1] * omega % p  # omega^size
+    labels = cycle(range(d))
+    label = classes.__setitem__
+    start = 1  # omega^k at the head of the current block
+    for k in range(0, p - 1, size):
+        block = [start * r % p for r in run[: p - 1 - k]]
+        deque(map(label, block, labels), 0)
+        start = start * stride % p
+    return classes, block[-1] * omega % p

@@ -23,11 +23,12 @@ import logging
 from dataclasses import dataclass
 
 from . import oracle
-from .cyclotomy import CyclotomyTable, compute_table
+from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table
 from .errors import (
     BoundExceeded,
     InternalDisagreement,
     SanityFailure,
+    ScaleGuard,
     Unreachable,
 )
 from .ffield import FieldContext
@@ -41,9 +42,12 @@ class NSequence:
     Values grow like f^k, so rows are plain Python integers; nothing here
     may ever round.  Every computed row is checked against the divisibility
     p | f^k + n(k, v), which holds because (f^k + n(k, v)) / p is a count.
+    A context whose worst case (recurrence_cells) exceeds MAX_CELLS is
+    refused with ScaleGuard before any row is built.
     """
 
     def __init__(self, table: CyclotomyTable, k_max: int = 1):
+        require_recurrence_fits(table.ctx)
         self.table = table
         ctx = table.ctx
         self._p, self._d, self._f, self._theta = ctx.p, ctx.d, ctx.f, ctx.theta
@@ -107,6 +111,30 @@ class NSequence:
     def __repr__(self):
         ctx = self.ctx
         return f"NSequence(p={ctx.p}, d={ctx.d}, k_max={self.k_max})"
+
+
+def recurrence_cells(ctx: FieldContext) -> int:
+    """The recurrence's worst case for this context, in 64-bit words.
+
+    s_by_recurrence may need every row up to k = d: d stored rows of d
+    values, each built with one multiply-add per nonzero table entry, of
+    which there are at most min(d*d, p-2).  Values grow like f^k, so each
+    is up to d*log2(f) bits wide.
+    """
+    d = ctx.d
+    nnz = min(d * d, ctx.p - 2)
+    words = 1 + d * (ctx.f.bit_length() - 1) // 64
+    return d * (d + nnz) * words
+
+
+def require_recurrence_fits(ctx: FieldContext) -> None:
+    """Refuse, with ScaleGuard, a context whose recurrence could exceed MAX_CELLS."""
+    cells = recurrence_cells(ctx)
+    if cells > MAX_CELLS:
+        raise ScaleGuard(
+            f"p={ctx.p}, d={ctx.d}: the recurrence may need {cells} cells, "
+            f"over the cap of {MAX_CELLS}"
+        )
 
 
 def n_sequence(table: CyclotomyTable, k_max: int) -> NSequence:
@@ -209,7 +237,10 @@ def solve(ctx: FieldContext) -> WaringSolution:
     is the headline correctness contract, not a recoverable condition.  The
     guarded failure modes (recurrence cap, unreachable class) fall back to
     the brute-force oracle and are logged; they are not expected to occur.
+    A context the recurrence could not handle is refused before its table
+    is counted.
     """
+    require_recurrence_fits(ctx)
     table = compute_table(ctx)
     seq = n_sequence(table, 1)
     per_class = []

@@ -40,6 +40,27 @@ def definitional_cyclotomic_counts(ctx: FieldContext) -> list[list[int]]:
     return counts
 
 
+def table_from_counts(ctx: FieldContext, counts) -> CyclotomyTable:
+    """A table holding the given dense counts, for doctored-table tests."""
+    supports = tuple(
+        tuple((j, c) for j, c in enumerate(row) if c) for row in counts
+    )
+    return CyclotomyTable(ctx=ctx, row_supports=supports)
+
+
+def bool_matrix(table: CyclotomyTable) -> list[list[int]]:
+    """0/1 matrix with entry 1 exactly where the count is nonzero.
+
+    Read off row_supports, independently of the dense counts view.
+    """
+    d = table.ctx.d
+    marks = [[0] * d for _ in range(d)]
+    for i, support in enumerate(table.row_supports):
+        for j, _ in support:
+            marks[i][j] = 1
+    return marks
+
+
 def bool_matrix_multiply(a, b):
     n = len(a)
     return [
@@ -58,11 +79,12 @@ def s_by_matrix_powers(table: CyclotomyTable, alpha: int) -> int | None:
     d = ctx.d
     src = (alpha + ctx.theta) % d
     tgt = ctx.theta
+    marks = bool_matrix(table)
     power = [[1 if i == j else 0 for j in range(d)] for i in range(d)]  # M^0
     for s in range(1, d + 2):
         if power[src][tgt]:
             return s
-        power = bool_matrix_multiply(power, table.bool_matrix)
+        power = bool_matrix_multiply(power, marks)
     return None
 
 

@@ -14,6 +14,8 @@ from cyclomod import (
 from cyclomod.closedform import KIND_D3, KIND_D4, certify, formula_table
 from cyclomod.errors import FormulaMismatch, NotPrime, WrongResidueClass
 
+from conftest import table_from_counts
+
 
 def test_represent_d3_examples():
     rep = represent(7, KIND_D3)
@@ -106,9 +108,7 @@ def test_resolve_sign_rejects_doctored_order3_table():
     assert table.counts == ((0, 1, 2), (1, 2, 1), (2, 1, 1))
     # (1,1) and (2,2) up by one, (1,2) and (2,1) down by one: still
     # symmetric with the row sums intact, so only the inner entries show it
-    doctored = type(table)(
-        ctx=table.ctx, counts=((0, 1, 2), (1, 3, 0), (2, 0, 2))
-    )
+    doctored = table_from_counts(table.ctx, ((0, 1, 2), (1, 3, 0), (2, 0, 2)))
     assert verify_identities(doctored).passed
     with pytest.raises(FormulaMismatch):
         resolve_sign(represent(13, KIND_D3), doctored)

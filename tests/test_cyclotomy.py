@@ -1,9 +1,10 @@
 import pytest
 
 from cyclomod import compute_table, make_context, primes_in_range, verify_identities
+from cyclomod.errors import ScaleGuard
 from cyclomod.sweep import admissible_orders
 
-from conftest import definitional_cyclotomic_counts
+from conftest import bool_matrix, definitional_cyclotomic_counts, table_from_counts
 
 
 def test_table_p7_d3():
@@ -61,9 +62,10 @@ def test_symmetry_when_f_even():
 def test_bool_matrix_marks_nonzero_entries():
     for p, d in [(7, 3), (13, 4), (11, 5), (29, 28)]:
         table = compute_table(make_context(p, d))
+        marks = bool_matrix(table)
         for i in range(table.ctx.d):
             for j in range(table.ctx.d):
-                assert table.bool_matrix[i][j] == (1 if table.counts[i][j] else 0)
+                assert marks[i][j] == (1 if table.counts[i][j] else 0)
 
 
 def test_row_supports_match_counts():
@@ -94,9 +96,9 @@ def test_verify_identities_p13_d4():
 
 def test_verify_identities_reports_violations():
     table = compute_table(make_context(7, 3))
-    broken = type(table)(
-        ctx=table.ctx,
-        counts=((1, 0, 1), (0, 1, 1), (1, 1, 0)),  # (0,0) bumped by one
+    broken = table_from_counts(
+        table.ctx,
+        ((1, 0, 1), (0, 1, 1), (1, 1, 0)),  # (0,0) bumped by one
     )
     report = verify_identities(broken)
     assert not report.passed
@@ -110,3 +112,8 @@ def test_walk_lengths_reach_theta(p, d):
     dist = table.walk_lengths_to_theta
     assert dist[table.ctx.theta] == 0
     assert all(x is not None for x in dist)
+
+
+def test_table_past_the_cap_is_refused_before_counting():
+    with pytest.raises(ScaleGuard, match="would need 400400100 cells"):
+        compute_table(make_context(20011, 20010))

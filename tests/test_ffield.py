@@ -1,10 +1,15 @@
+from array import array
+
 import pytest
 
-from cyclomod import make_context, primes_in_range
+from cyclomod import compute_table, make_context, primes_in_range
 from cyclomod.errors import (
     DegenerateOrder, InputError, NotPrime, ScaleGuard, ZeroArgument,
 )
 from cyclomod.ffield import is_prime, prime_factors, smallest_primitive_root
+from cyclomod.sweep import admissible_orders
+
+from conftest import definitional_cyclotomic_counts
 
 
 def test_is_prime_small():
@@ -149,3 +154,45 @@ def test_dth_powers_are_class_zero():
         class_zero = {a for a in range(1, p) if ctx.class_of(a) == 0}
         assert powers == class_zero
         assert len(class_zero) == ctx.f
+
+
+def test_class_array_is_compact():
+    assert type(make_context(13, 4).index_table) is bytearray
+    assert type(make_context(1009, 252).index_table) is bytearray
+    wide = make_context(1009, 336).index_table
+    assert isinstance(wide, array) and wide.typecode == "H"
+    assert len(wide) == 1009
+
+
+def test_compact_field_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.sampled_from(primes_in_range(3, 3000)))
+        d = draw(st.sampled_from(admissible_orders(p)))
+        ks = draw(st.lists(st.integers(min_value=0, max_value=p - 2), max_size=4))
+        return p, d, ks
+
+    @hypothesis.settings(max_examples=8, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((1009, 336, [335, 1007]))  # d > 256: two-byte classes
+    @hypothesis.example((2017, 288, [0, 289]))
+    def check(case):
+        p, d, ks = case
+        ctx = make_context(p, d)
+        for a in range(1, p):
+            alpha = ctx.class_of(a)
+            assert 0 <= alpha < d
+            assert pow(a, ctx.f, p) == pow(ctx.omega, ctx.f * alpha, p), a
+        for k in ks:
+            assert ctx.index_of(pow(ctx.omega, k, p)) == k
+        table = compute_table(ctx)
+        oracle = definitional_cyclotomic_counts(ctx)
+        assert [list(row) for row in table.counts] == oracle
+        assert table.row_supports == tuple(
+            tuple((j, c) for j, c in enumerate(row) if c) for row in oracle
+        )
+
+    check()

@@ -402,6 +402,29 @@ def test_cli_malformed_jobs_env_exits_2(monkeypatch, capsys):
     assert "ignoring" not in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_exits_2(jobs, capsys):
+    assert main(["sweep", "-p", "5", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs {jobs}: need at least 1 worker\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_jobs_env_below_one_exits_2(jobs, monkeypatch, capsys):
+    monkeypatch.setenv("CYCLOMOD_JOBS", jobs)
+    assert main(["sweep", "-p", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: CYCLOMOD_JOBS='{jobs}': need at least 1 worker\n"
+
+
+def test_cli_jobs_flag_beats_env(monkeypatch, capsys):
+    monkeypatch.setenv("CYCLOMOD_JOBS", "0")
+    assert main(["sweep", "-p", "5", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2  # d = 2 and d = 4
+
+
 def test_cli_bare_cyclomod_error_exits_1(monkeypatch, capsys):
     import cyclomod.sweep as sweep_module
 

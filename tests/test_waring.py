@@ -12,12 +12,12 @@ from cyclomod import (
     s_by_recurrence,
     solve,
 )
-from cyclomod.cyclotomy import CyclotomyTable
-from cyclomod.errors import InternalDisagreement, SanityFailure, Unreachable
+from cyclomod.cyclotomy import MAX_CELLS
+from cyclomod.errors import InternalDisagreement, SanityFailure, ScaleGuard, Unreachable
 from cyclomod.sweep import admissible_orders
-from cyclomod.waring import NSequence
+from cyclomod.waring import NSequence, recurrence_cells
 
-from conftest import count_matrix_powers, s_by_matrix_powers
+from conftest import count_matrix_powers, s_by_matrix_powers, table_from_counts
 
 
 def test_base_values_p7_d3():
@@ -45,9 +45,7 @@ def test_divisibility_invariant_enforced():
 
 def test_sanity_failure_on_corrupt_table():
     table = compute_table(make_context(7, 3))
-    corrupt = CyclotomyTable(
-        ctx=table.ctx, counts=((0, 1, 1), (0, 1, 1), (1, 1, 0))
-    )
+    corrupt = table_from_counts(table.ctx, ((0, 1, 1), (0, 1, 1), (1, 1, 0)))
     with pytest.raises(SanityFailure):
         NSequence(corrupt, 3)
 
@@ -156,9 +154,9 @@ def test_reachability_equals_matrix_powers():
 def test_unreachable_raises_on_doctored_table():
     table = compute_table(make_context(7, 3))
     # cut every edge into class 0 = theta: classes 1, 2 can no longer reach it
-    doctored = CyclotomyTable(
-        ctx=table.ctx,
-        counts=tuple(
+    doctored = table_from_counts(
+        table.ctx,
+        tuple(
             tuple(0 if j == 0 else c for j, c in enumerate(row))
             for row in table.counts
         ),
@@ -206,3 +204,35 @@ def test_three_way_equivalence_small():
                 s2 = s_by_reachability(table, alpha)
                 s3 = brute_s(ctx, ctx.element_of_class(alpha))
                 assert s1 == s2 == s3, (p, d, alpha)
+
+
+def test_recurrence_guard_spares_d_equal_p_minus_1_near_3000():
+    for p in primes_in_range(3001, 3061):
+        assert recurrence_cells(make_context(p, p - 1)) <= MAX_CELLS, p
+
+
+def test_recurrence_guard_refuses_before_any_row():
+    ctx = make_context(4001, 4000)  # f = 1: every table entry is 0 or 1
+    table = compute_table(ctx)
+    assert sum(map(len, table.row_supports)) == 4001 - 2
+    assert recurrence_cells(ctx) == 4000 * (4000 + 3999) > MAX_CELLS
+    with pytest.raises(ScaleGuard, match="the recurrence may need"):
+        NSequence(table)
+    with pytest.raises(ScaleGuard, match="the recurrence may need"):
+        solve(ctx)
+
+
+def test_solve_refuses_before_counting_the_table(monkeypatch):
+    import cyclomod.waring as waring_module
+
+    def never(ctx):
+        raise AssertionError("table counted for a refused context")
+
+    monkeypatch.setattr(waring_module, "compute_table", never)
+    with pytest.raises(ScaleGuard):
+        solve(make_context(4001, 4000))
+
+
+def test_recurrence_cells_price_wide_values():
+    # f = 2 and d = 249: values reach 2^249, four 64-bit words
+    assert recurrence_cells(make_context(499, 249)) == 249 * (249 + 497) * 4
