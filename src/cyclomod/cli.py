@@ -123,7 +123,7 @@ def cmd_cyclo(args) -> int:
                 "p": ctx.p,
                 "d": ctx.d,
                 "omega": ctx.omega,
-                "counts": [list(row) for row in table.counts],
+                "counts": table.counts,
             }
         )
     return EXIT_OK

@@ -13,27 +13,24 @@ kept in the test suite as an independent oracle.
 
 from __future__ import annotations
 
-import sys
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
+from operator import add
 from typing import Sequence
 
 from .errors import ScaleGuard
 from .ffield import FieldContext
 
 #: Cap on the d x d-shaped memory and work one (p, d) may take, in cells:
-#: entries of the d x d table, or 64-bit words of the recurrence's worst
-#: case (waring.recurrence_cells).  Inputs over it are refused with
-#: ScaleGuard before anything d-sized is built.  d = p - 1 near 3060 needs
-#: 1.9e7 recurrence words; p = 20011, d = 20010 would need 8e8.
+#: entries of the d x d table, or the recurrence's worst case
+#: (waring.recurrence_cells), one cell per stored 64-bit word and one per
+#: multiply-add.  Inputs over it are refused with ScaleGuard before anything
+#: d-sized is built.  d = p - 1 near 3060 needs 1.9e7 cells; p = 20011,
+#: d = 20010 would need 8e8.
 MAX_CELLS = 3 * 10**7
-
-# memoryview formats of unsigned integers 1, 2, 4 and 8 bytes wide
-_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-# Incidences are coded and counted this many at a time.
-_RUN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,11 @@ def walk_lengths(row_supports: Sequence, target: int) -> tuple[int | None, ...]:
 def compute_table(ctx: FieldContext) -> CyclotomyTable:
     """Count all cyclotomic numbers of order d in one pass over the units.
 
-    Each incidence x = 1..p-2 is coded as class(x) * d + class(x + 1), a
-    number below d*d.  The codes are formed a run of x at a time: the
-    run's classes, widened to one code's width, are read as two big
-    integers (for x and for x + 1) with one digit per residue, and
-    class(x) * d + class(x + 1) never carries between digits.  Counting the
-    codes fills the sorted row supports directly; no d x d matrix is built.
+    Each incidence x = 1..p-2 is coded as class(x) * d + class(x + 1), read
+    straight off the power-class array, and one Counter tallies the codes.
+    Sorted, the codes are the row supports in order: row i holds the codes
+    i*d .. i*d + d-1.  No d x d matrix is built, and the tally holds at most
+    min(d*d, p-2) codes.
 
     A table with d*d > MAX_CELLS is refused before counting: its dense view
     would exceed the cap, and the recurrence needs at least d*d cells.
@@ -110,27 +106,17 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
             f"over the cap of {MAX_CELLS}"
         )
     classes = memoryview(ctx.index_table)
-    width = classes.itemsize
-    code_width = next(w for w in (1, 2, 4, 8) if d * d <= 256**w)
-    lead = 0 if sys.byteorder == "little" else code_width - width
-    tally: Counter[int] = Counter()
-    for lo in range(1, p - 1, _RUN):
-        hi = min(lo + _RUN, p - 1)  # x = lo..hi-1, so x + 1 reaches hi
-        digits = classes[lo : hi + 1].cast("B")
-        if code_width > width:
-            wide = bytearray(code_width * (hi + 1 - lo))
-            for b in range(width):
-                wide[lead + b :: code_width] = digits[b::width]
-            digits = memoryview(wide)
-        here = int.from_bytes(digits[:-code_width], sys.byteorder)
-        after = int.from_bytes(digits[code_width:], sys.byteorder)
-        codes = (here * d + after).to_bytes(code_width * (hi - lo), sys.byteorder)
-        tally.update(memoryview(codes).cast(_UNSIGNED[code_width]))
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for code in sorted(tally):
-        i, j = divmod(code, d)
-        rows[i].append((j, tally[code]))
-    return CyclotomyTable(ctx=ctx, row_supports=tuple(map(tuple, rows)))
+    tally = Counter(map(add, map(d.__mul__, classes[1 : p - 1]), classes[2:p]))
+    codes = sorted(tally)
+    counts = list(map(tally.__getitem__, codes))
+    bounds = [bisect_left(codes, d * i) for i in range(d + 1)]
+    column = list(range(d))  # one shared int object per class
+    columns = list(map(column.__getitem__, map(d.__rmod__, codes)))
+    del tally, codes  # freed before the supports are built
+    row_supports = tuple(
+        tuple(zip(columns[a:b], counts[a:b])) for a, b in pairwise(bounds)
+    )
+    return CyclotomyTable(ctx=ctx, row_supports=row_supports)
 
 
 @dataclass(frozen=True)

@@ -114,17 +114,17 @@ class NSequence:
 
 
 def recurrence_cells(ctx: FieldContext) -> int:
-    """The recurrence's worst case for this context, in 64-bit words.
+    """The recurrence's worst case for this context, in cells.
 
-    s_by_recurrence may need every row up to k = d: d stored rows of d
-    values, each built with one multiply-add per nonzero table entry, of
-    which there are at most min(d*d, p-2).  Values grow like f^k, so each
-    is up to d*log2(f) bits wide.
+    s_by_recurrence may need every row up to k = d.  Memory: d stored rows
+    of d values, each up to d*log2(f) bits since values grow like f^k, priced
+    in 64-bit words.  Work: each row takes one multiply-add per nonzero table
+    entry, of which there are at most min(d*d, p-2), priced one cell each.
     """
     d = ctx.d
-    nnz = min(d * d, ctx.p - 2)
     words = 1 + d * (ctx.f.bit_length() - 1) // 64
-    return d * (d + nnz) * words
+    multiply_adds = d * min(d * d, ctx.p - 2)
+    return d * d * words + multiply_adds
 
 
 def require_recurrence_fits(ctx: FieldContext) -> None:

@@ -53,6 +53,16 @@ def test_closed_near_the_cap_fits_128_mib():
     )
 
 
+def test_large_p_with_moderate_d_is_solved():
+    # the recurrence guard prices 1.6e6 cells here, far under its cap
+    done = run_limited(["sd", "-p", "4194301", "-d", "110"], 128)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "p": "4194301", "d": "110", "f": "38130", "theta": "0", "omega": "7",
+        "per_class_s": ["1"] + ["2"] * 109, "g": "2",
+    }
+
+
 def test_recurrence_guard_refuses_before_allocating():
     # d = p - 1 = 20010: d stored rows of d values alone would be 4e8
     done = run_limited(["sd", "-p", "20011", "-d", "20010"], 256)

@@ -14,6 +14,7 @@ from cyclomod import (
 )
 from cyclomod.cyclotomy import MAX_CELLS
 from cyclomod.errors import InternalDisagreement, SanityFailure, ScaleGuard, Unreachable
+from cyclomod.ffield import FieldContext
 from cyclomod.sweep import admissible_orders
 from cyclomod.waring import NSequence, recurrence_cells
 
@@ -234,5 +235,14 @@ def test_solve_refuses_before_counting_the_table(monkeypatch):
 
 
 def test_recurrence_cells_price_wide_values():
-    # f = 2 and d = 249: values reach 2^249, four 64-bit words
-    assert recurrence_cells(make_context(499, 249)) == 249 * (249 + 497) * 4
+    # f = 2 and d = 249: stored values reach 2^249, four 64-bit words each;
+    # the 249 * 497 multiply-adds are priced one cell each
+    assert recurrence_cells(make_context(499, 249)) == 249 * 249 * 4 + 249 * 497
+
+
+def test_recurrence_cells_spare_large_p_with_moderate_d():
+    # p = 4194301, d = 110: 110 rows of 110 values up to 26 words wide, and
+    # 110 rows of 12100 multiply-adds; the width must not scale the work
+    ctx = FieldContext(p=4194301, omega=7, d=110, f=38130, theta=0,
+                       index_table=bytearray())
+    assert recurrence_cells(ctx) == 110 * 110 * 26 + 110 * 12100 <= MAX_CELLS
