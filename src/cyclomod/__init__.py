@@ -7,34 +7,13 @@ integer recurrence, shortest walks on a small digraph, and a brute-force
 oracle) must agree before an answer is reported.
 """
 
-from .closedform import (
-    DiophantineWitness,
-    QuadFormRep,
-    closed_g,
-    diophantine_witness,
-    represent,
-    resolve_sign,
-)
-from .cyclotomy import CyclotomyTable, IdentityReport, compute_table, verify_identities
-from .errors import CyclomodError
-from .ffield import FieldContext, is_prime, make_context, primes_in_range
-from .oracle import CountTable, brute_s, dp_counts, power_set
-from .periods import (
-    PeriodPolynomial,
-    numeric_periods,
-    period_polynomial,
-    power_sums,
-)
-from .series import (
-    RationalSeries,
-    i_series,
-    log_derivative_ord,
-    reciprocal_check,
-)
-from .sweep import SweepRecord, admissible_orders, emit, run_sweep
+from .closedform import closed_g, diophantine_witness, represent, resolve_sign
+from .cyclotomy import compute_table, verify_identities
+from .ffield import make_context, primes_in_range
+from .oracle import brute_s, dp_counts, power_set
+from .periods import period_polynomial, power_sums
+from .series import i_series, log_derivative_ord
 from .waring import (
-    NSequence,
-    WaringSolution,
     count_representations,
     n_sequence,
     s_by_reachability,
@@ -45,40 +24,22 @@ from .waring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountTable",
-    "CyclomodError",
-    "CyclotomyTable",
-    "DiophantineWitness",
-    "FieldContext",
-    "IdentityReport",
-    "NSequence",
-    "PeriodPolynomial",
-    "QuadFormRep",
-    "RationalSeries",
-    "SweepRecord",
-    "WaringSolution",
-    "admissible_orders",
     "brute_s",
     "closed_g",
     "compute_table",
     "count_representations",
     "diophantine_witness",
     "dp_counts",
-    "emit",
     "i_series",
-    "is_prime",
     "log_derivative_ord",
     "make_context",
     "n_sequence",
-    "numeric_periods",
     "period_polynomial",
     "power_set",
     "power_sums",
     "primes_in_range",
     "represent",
-    "reciprocal_check",
     "resolve_sign",
-    "run_sweep",
     "s_by_reachability",
     "s_by_recurrence",
     "solve",

@@ -146,6 +146,8 @@ def cmd_period(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.series_order is not None:
+        series.require_order(args.series_order)  # before the O(p) field
     ctx = _context(args)
     order = args.series_order if args.series_order is not None else ctx.d + 2
     table = cyclotomy.compute_table(ctx)
@@ -304,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-j", "--class-index", type=int, required=True,
                     help="power class of -a")
     sp.add_argument("--series-order", type=int,
-                    help="truncation order (default d+2)")
+                    help="truncation order (default d+2, at most "
+                         f"{series.MAX_SERIES_ORDER})")
     sp.set_defaults(func=cmd_series)
 
     sp = sub.add_parser("closed", help="closed form, representation, witness")

@@ -7,7 +7,7 @@ omega^ind(a) = a.  Every answer depends on the field only through those
 classes, so the full discrete log is not stored: the classes are one typed
 array (one byte per residue when d <= 256, two or four above that), filled
 by one walk over the powers of omega.  Construction is O(p) in time and
-O(p) bytes; ind(a) itself is recovered on demand by a walk of length f.
+O(p) bytes.
 """
 
 from __future__ import annotations
@@ -139,24 +139,6 @@ class FieldContext:
     #: 1..p-1 (entry 0 is unused).  A bytearray for d <= 256, else an array.
     index_table: bytearray | array = field(repr=False, compare=False)
 
-    def index_of(self, a: int) -> int:
-        """ind(a): the k in 0..p-2 with omega^k = a mod p.
-
-        Only ind(a) mod d is stored, so this walks the f powers
-        omega^(alpha + d*u) of a's class alpha until one equals a: O(f).
-        """
-        alpha = self.class_of(a)
-        p, r = self.p, a % self.p
-        step = pow(self.omega, self.d, p)
-        x = pow(self.omega, alpha, p)
-        for u in range(self.f):
-            if x == r:
-                return alpha + self.d * u
-            x = x * step % p
-        raise SanityFailure(
-            f"{r} is not a power omega^k with k = {alpha} mod {self.d}"
-        )
-
     def class_of(self, a: int) -> int:
         """Power class of a: ind(a) mod d.  Class 0 is the d-th powers."""
         r = a % self.p
@@ -189,9 +171,9 @@ def make_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
         raise ScaleGuard(f"p={p} exceeds the configured cap {limit}")
 
     omega = smallest_primitive_root(p)
-    classes, x = _power_classes(p, omega, d_eff)
-    if x != 1:
+    if any(pow(omega, (p - 1) // q, p) == 1 for q in prime_factors(p - 1)):
         raise SanityFailure(f"omega={omega} does not have order p-1 mod {p}")
+    classes = _power_classes(p, omega, d_eff)
 
     f = (p - 1) // d_eff
     theta = ((p - 1) // 2) % d_eff
@@ -205,8 +187,8 @@ def make_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
     )
 
 
-def _power_classes(p: int, omega: int, d: int) -> tuple[bytearray | array, int]:
-    """ind(a) mod d for every residue a, and omega^(p-1) mod p.
+def _power_classes(p: int, omega: int, d: int) -> bytearray | array:
+    """ind(a) mod d for every residue a.
 
     The powers omega^0 .. omega^(p-2) are produced a block at a time, each
     block as one multiple of a fixed run of consecutive powers, and the k-th
@@ -228,4 +210,4 @@ def _power_classes(p: int, omega: int, d: int) -> tuple[bytearray | array, int]:
         block = [start * r % p for r in run[: p - 1 - k]]
         deque(map(label, block, labels), 0)
         start = start * stride % p
-    return classes, block[-1] * omega % p
+    return classes

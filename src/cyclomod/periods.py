@@ -4,29 +4,17 @@ The periods eta_0..eta_{d-1} are the class sums of p-th roots of unity.
 Their power sums are already available exactly: sum_i eta_i^m = n(m-1, 0),
 with the m = 0 sum equal to d.  Newton's identities then produce the
 elementary symmetric functions, hence the monic integer polynomial
-G(T) = prod (T - eta_i), without ever touching complex numbers.  Floating
-point periods exist here too, but only as a numerical validation oracle.
+G(T) = prod (T - eta_i), without ever touching complex numbers.  The
+floating-point periods that validate it live in the test suite.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SanityFailure, ScaleGuard
-from .ffield import FieldContext
+from .errors import SanityFailure
 from .waring import NSequence
-
-#: numeric_periods is for validation only; summing 10^4 complex terms is
-#: already pushing what double precision can certify.
-NUMERIC_MAX_P = 10_000
-
-
-def numeric_tolerance(p: int) -> float:
-    """Absolute tolerance policy for float-period comparisons."""
-    return 1e-8 if p <= 100 else 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,33 +89,6 @@ def period_polynomial(seq: NSequence) -> PeriodPolynomial:
             f"trace -1: leading coefficients {coeffs[d - 1:]}"
         )
     return PeriodPolynomial(coeffs=coeffs)
-
-
-def numeric_periods(ctx: FieldContext) -> list[complex]:
-    """Float approximations of the periods, for tests only.
-
-    eta_i = sum over k of exp(2*pi*I * omega^(d*k+i) / p).  Each eta is a
-    sum of f unit vectors, accumulated with compensated (exact-rounding)
-    summation to keep cancellation error near machine epsilon.
-    """
-    p, d, f = ctx.p, ctx.d, ctx.f
-    if p > NUMERIC_MAX_P:
-        raise ScaleGuard(f"numeric periods capped at p <= {NUMERIC_MAX_P}, got {p}")
-    # powers[m] = omega^m mod p
-    powers = [1] * (p - 1)
-    for m in range(1, p - 1):
-        powers[m] = powers[m - 1] * ctx.omega % p
-    tau = 2.0 * math.pi
-    out = []
-    for i in range(d):
-        terms = [cmath.exp(1j * tau * powers[d * k + i] / p) for k in range(f)]
-        out.append(
-            complex(
-                math.fsum(t.real for t in terms),
-                math.fsum(t.imag for t in terms),
-            )
-        )
-    return out
 
 
 def _sylvester_matrix(fd: list[int], gd: list[int]) -> list[list[int]]:

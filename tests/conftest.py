@@ -4,21 +4,81 @@ Everything here is deliberately naive and self-contained so it can
 arbitrate against the production code paths: the cyclotomic table comes
 from the literal definitional double loop, reachability from literal
 boolean matrix powers, the count identities from integer matrix powers
-of the table itself, and the series difference from literal Fraction
-inversion and multiplication of I_j.
+of the table itself, the series differences from literal Fraction
+arithmetic on I_j, and the periods from floating-point sums of roots of
+unity.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
 from cyclomod import make_context
 from cyclomod.cyclotomy import CyclotomyTable
+from cyclomod.errors import SanityFailure, ScaleGuard
 from cyclomod.ffield import FieldContext
+from cyclomod.periods import PeriodPolynomial
 from cyclomod.series import RationalSeries, i_series
 from cyclomod.waring import NSequence
+
+#: numeric_periods is for validation only; summing 10^4 complex terms is
+#: already pushing what double precision can certify.
+NUMERIC_MAX_P = 10_000
+
+
+def index_of(ctx: FieldContext, a: int) -> int:
+    """ind(a): the k in 0..p-2 with omega^k = a mod p.
+
+    Only ind(a) mod d is stored, so this walks the f powers
+    omega^(alpha + d*u) of a's class alpha until one equals a: O(f).
+    """
+    alpha = ctx.class_of(a)
+    p, r = ctx.p, a % ctx.p
+    step = pow(ctx.omega, ctx.d, p)
+    x = pow(ctx.omega, alpha, p)
+    for u in range(ctx.f):
+        if x == r:
+            return alpha + ctx.d * u
+        x = x * step % p
+    raise SanityFailure(
+        f"{r} is not a power omega^k with k = {alpha} mod {ctx.d}"
+    )
+
+
+def numeric_tolerance(p: int) -> float:
+    """Absolute tolerance policy for float-period comparisons."""
+    return 1e-8 if p <= 100 else 1e-6
+
+
+def numeric_periods(ctx: FieldContext) -> list[complex]:
+    """Float approximations of the periods.
+
+    eta_i = sum over k of exp(2*pi*I * omega^(d*k+i) / p).  Each eta is a
+    sum of f unit vectors, accumulated with compensated (exact-rounding)
+    summation to keep cancellation error near machine epsilon.
+    """
+    p, d, f = ctx.p, ctx.d, ctx.f
+    if p > NUMERIC_MAX_P:
+        raise ScaleGuard(f"numeric periods capped at p <= {NUMERIC_MAX_P}, got {p}")
+    # powers[m] = omega^m mod p
+    powers = [1] * (p - 1)
+    for m in range(1, p - 1):
+        powers[m] = powers[m - 1] * ctx.omega % p
+    tau = 2.0 * math.pi
+    out = []
+    for i in range(d):
+        terms = [cmath.exp(1j * tau * powers[d * k + i] / p) for k in range(f)]
+        out.append(
+            complex(
+                math.fsum(t.real for t in terms),
+                math.fsum(t.imag for t in terms),
+            )
+        )
+    return out
 
 
 def definitional_cyclotomic_counts(ctx: FieldContext) -> list[list[int]]:
@@ -167,6 +227,53 @@ def log_derivative_series(seq: NSequence, j: int, order: int) -> RationalSeries:
         series_derivative(source), series_inverse(source, order), order
     )
     return series_subtract(geometric_series(seq.ctx.f, order), ratio)
+
+
+def unit_difference_series(seq: NSequence, j: int, order: int) -> RationalSeries:
+    """I_j - (1 - f*T) * I_j', truncated at order, in literal Fractions.
+
+    It equals (1 - f*T) * I_j times the difference series, so it has the
+    same valuation and the same leading coefficient f^v + n(v, j).
+    """
+    source = i_series(seq, j, order + 1)
+    one_minus_ft = RationalSeries((Fraction(1), Fraction(-seq.ctx.f)))
+    return series_subtract(
+        source, series_multiply(one_minus_ft, series_derivative(source), order)
+    )
+
+
+def reciprocal_check(series: RationalSeries, poly: PeriodPolynomial) -> bool:
+    """True iff the series is exactly the reversed period polynomial.
+
+    Checks c_k against the reversed coefficients for k <= d and demands
+    c_k = 0 for d < k <= order, certifying the series is that integer
+    polynomial up to the computed truncation.
+    """
+    d = poly.degree
+    if series.order < d + 2:
+        raise ValueError(
+            f"series order {series.order} too small; need at least {d + 2}"
+        )
+    rev = poly.reversed_coeffs()
+    for k in range(d + 1):
+        if series.coeffs[k] != rev[k]:
+            return False
+    return all(series.coeffs[k] == 0 for k in range(d + 1, series.order + 1))
+
+
+def factorial_denominator_violations(series: RationalSeries) -> list[int]:
+    """Indices k where k! * c_k is not an integer (always empty if correct).
+
+    Equivalent to checking that each reduced denominator divides k!.
+    """
+    bad = []
+    kfac = 1
+    for k, c in enumerate(series.coeffs):
+        if k:
+            kfac *= k
+        if kfac % c.denominator:
+            bad.append(k)
+    return bad
 
 
 @pytest.fixture(scope="session")

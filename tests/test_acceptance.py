@@ -26,7 +26,6 @@ from cyclomod import (
     n_sequence,
     period_polynomial,
     primes_in_range,
-    reciprocal_check,
     represent,
     resolve_sign,
     s_by_reachability,
@@ -34,8 +33,9 @@ from cyclomod import (
     solve,
 )
 from cyclomod.closedform import KIND_D3, KIND_D4
-from cyclomod.series import factorial_denominator_violations
 from cyclomod.sweep import admissible_orders, run_sweep
+
+from conftest import factorial_denominator_violations, reciprocal_check
 
 
 def _report(name: str, violations, elapsed: float | None = None, budget=None):

@@ -2,14 +2,14 @@ from array import array
 
 import pytest
 
-from cyclomod import compute_table, make_context, primes_in_range
+from cyclomod import compute_table, ffield, make_context, primes_in_range
 from cyclomod.errors import (
-    DegenerateOrder, InputError, NotPrime, ScaleGuard, ZeroArgument,
+    DegenerateOrder, InputError, NotPrime, SanityFailure, ScaleGuard, ZeroArgument,
 )
 from cyclomod.ffield import is_prime, prime_factors, smallest_primitive_root
 from cyclomod.sweep import admissible_orders
 
-from conftest import definitional_cyclotomic_counts
+from conftest import definitional_cyclotomic_counts, index_of
 
 
 def test_is_prime_small():
@@ -52,6 +52,13 @@ def test_smallest_primitive_root(p, root):
     # candidates below are not generators: some strict power hits 1 early
     for g in range(2, root):
         assert any(pow(g, (p - 1) // q, p) == 1 for q in prime_factors(p - 1))
+
+
+def test_make_context_refuses_a_non_generator(monkeypatch):
+    # 3 has order 3 mod 13: 3^12 = 1 as for every unit, but 3^6 = 1 too
+    monkeypatch.setattr(ffield, "smallest_primitive_root", lambda p: 3)
+    with pytest.raises(SanityFailure, match="omega=3 does not have order"):
+        make_context(13, 4)
 
 
 def test_make_context_basic():
@@ -117,17 +124,17 @@ def test_scale_guard_env_malformed(monkeypatch):
 
 def test_index_of_examples():
     ctx = make_context(7, 3)
-    assert ctx.index_of(1) == 0
-    assert ctx.index_of(3) == 1
-    assert ctx.index_of(6) == 3  # 3^3 = 27 = 6 mod 7
+    assert index_of(ctx, 1) == 0
+    assert index_of(ctx, 3) == 1
+    assert index_of(ctx, 6) == 3  # 3^3 = 27 = 6 mod 7
 
 
 def test_index_of_zero_rejected():
     ctx = make_context(7, 3)
     with pytest.raises(ZeroArgument):
-        ctx.index_of(0)
+        index_of(ctx, 0)
     with pytest.raises(ZeroArgument):
-        ctx.index_of(7)
+        index_of(ctx, 7)
 
 
 def test_index_is_group_homomorphism():
@@ -135,8 +142,8 @@ def test_index_is_group_homomorphism():
         ctx = make_context(p, d)
         for a in range(1, p):
             for b in range(1, p, 3):
-                lhs = ctx.index_of(a * b % p)
-                rhs = (ctx.index_of(a) + ctx.index_of(b)) % (p - 1)
+                lhs = index_of(ctx, a * b % p)
+                rhs = (index_of(ctx, a) + index_of(ctx, b)) % (p - 1)
                 assert lhs == rhs
 
 
@@ -187,7 +194,7 @@ def test_compact_field_property():
             assert 0 <= alpha < d
             assert pow(a, ctx.f, p) == pow(ctx.omega, ctx.f * alpha, p), a
         for k in ks:
-            assert ctx.index_of(pow(ctx.omega, k, p)) == k
+            assert index_of(ctx, pow(ctx.omega, k, p)) == k
         table = compute_table(ctx)
         oracle = definitional_cyclotomic_counts(ctx)
         assert [list(row) for row in table.counts] == oracle

@@ -7,14 +7,14 @@ from cyclomod import (
     compute_table,
     make_context,
     n_sequence,
-    numeric_periods,
     period_polynomial,
     power_sums,
     primes_in_range,
 )
 from cyclomod.errors import ScaleGuard
-from cyclomod.periods import numeric_tolerance
 from cyclomod.sweep import admissible_orders
+
+from conftest import numeric_periods, numeric_tolerance
 
 
 def _seq(p, d, k=None):

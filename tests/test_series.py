@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    factorial_denominator_violations,
     geometric_series,
     log_derivative_series,
+    reciprocal_check,
     series_derivative,
     series_inverse,
     series_multiply,
+    unit_difference_series,
 )
 from cyclomod import (
     compute_table,
@@ -17,14 +21,10 @@ from cyclomod import (
     n_sequence,
     period_polynomial,
     primes_in_range,
-    reciprocal_check,
     s_by_recurrence,
 )
-from cyclomod.series import (
-    RationalSeries,
-    _difference_terms,
-    factorial_denominator_violations,
-)
+from cyclomod.errors import AllZeroToOrder, SanityFailure, ScaleGuard
+from cyclomod.series import MAX_SERIES_ORDER, RationalSeries, _difference_terms
 from cyclomod.sweep import admissible_orders
 
 
@@ -128,13 +128,24 @@ def test_log_derivative_series_coefficients_are_scaled_counts():
                 assert c == ctx.f**k + seq.n(k, j), (p, d, j, k)
 
 
+def _scaled(series):
+    """k! times each coefficient of a series."""
+    return [math.factorial(k) * c for k, c in enumerate(series.coeffs)]
+
+
 def test_incremental_terms_match_materialized_series():
     for p, d in [(7, 3), (13, 4), (29, 7), (13, 12)]:
         seq = _seq(p, d)
         for j in range(d):
-            full = log_derivative_series(seq, j, d + 2)
+            full = unit_difference_series(seq, j, d + 2)
             lazy = [v for _, v in _difference_terms(seq, j, d + 2)]
-            assert list(full.coeffs) == lazy
+            assert _scaled(full) == lazy
+            # same valuation and leading coefficient as 1/(1-fT) - I'/I
+            diff = log_derivative_series(seq, j, d + 2)
+            v = diff.valuation()
+            assert full.valuation() == v
+            if v is not None:
+                assert full.coeffs[v] == diff.coeffs[v]
 
 
 def test_ord_examples_p7_d3():
@@ -183,9 +194,9 @@ def test_integer_terms_match_fraction_oracle_property():
         p, d, j = case
         ctx = make_context(p, d)
         seq = n_sequence(compute_table(ctx), 1)
-        oracle = log_derivative_series(seq, j, d + 2)
+        oracle = unit_difference_series(seq, j, d + 2)
         lazy = [v for _, v in _difference_terms(seq, j, d + 2)]
-        assert lazy == list(oracle.coeffs)
+        assert lazy == _scaled(oracle)
         alpha = (j - ctx.theta) % d
         assert log_derivative_ord(seq, j) == s_by_recurrence(seq, alpha)
 
@@ -195,8 +206,6 @@ def test_integer_terms_match_fraction_oracle_property():
 def test_all_zero_guard_raises():
     # a stub sequence with n(k, j) = -f^k makes every difference
     # coefficient vanish, which must trip the retry cap, not loop
-    from cyclomod.errors import AllZeroToOrder
-
     real = _seq(7, 3)
 
     class VanishingStub:
@@ -213,10 +222,8 @@ def test_all_zero_guard_raises():
 
 
 def test_non_integral_difference_coefficient_raises():
-    # the scan divides k! * D_k by k! exactly; a half-integer n(k, j) makes
-    # D_0 = 3/2, which must raise instead of being floored to 1
-    from cyclomod.errors import SanityFailure
-
+    # a half-integer n(k, j) makes the leading coefficient D_0 = 3/2, which
+    # is no multiple of p and must raise instead of being reported
     real = _seq(7, 3)
 
     class HalfStub:
@@ -232,10 +239,32 @@ def test_non_integral_difference_coefficient_raises():
         log_derivative_ord(HalfStub(), 1)
 
 
+@pytest.mark.parametrize("lead", [1, -7])
+def test_leading_coefficient_off_a_multiple_of_p_raises(lead):
+    # D_k = f^k + n(k, j) vanishes except D_2 = lead: a nonzero integer
+    # that p = 7 does not divide, or a negative multiple of p, so it
+    # cannot be p times a count
+    real = _seq(7, 3)
+
+    class LeadStub:
+        ctx = real.ctx
+
+        def n(self, k, j):
+            return lead - self.ctx.f**2 if k == 2 else -(self.ctx.f**k)
+
+        def extend(self, k_max):
+            pass
+
+    with pytest.raises(SanityFailure, match="positive multiple"):
+        log_derivative_ord(LeadStub(), 1)
+
+
 def test_argument_validation():
     seq = _seq(7, 3)
     with pytest.raises(ValueError):
         i_series(seq, 0, -1)
+    with pytest.raises(ScaleGuard):
+        i_series(seq, 0, MAX_SERIES_ORDER + 1)
 
 
 def test_ord_at_class_of_minus_one():

@@ -1,12 +1,15 @@
 import io
 import json
 import os
+import time
 
 import pytest
 
+from cyclomod import cli
 from cyclomod.cli import main
 from cyclomod.errors import CyclomodError, InputError
 from cyclomod.ffield import primes_in_range
+from cyclomod.series import MAX_SERIES_ORDER
 from cyclomod.sweep import (
     SweepRecord,
     admissible_orders,
@@ -280,6 +283,24 @@ def test_cli_series(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["coefficients"][0] == "1"
     assert data["coefficients"][2] == "3/2"  # exact fraction text
+
+
+def test_cli_series_order_cap(capsys, monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("the field was built before the refusal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "make_context", no_field)
+        start = time.perf_counter()
+        assert main(["series", "-p", "7", "-d", "3", "-j", "1",
+                     "--series-order", "20000"]) == 2
+        assert time.perf_counter() - start < 1
+    assert f"over the cap of {MAX_SERIES_ORDER}" in capsys.readouterr().err
+    # the default order d + 2 is still accepted
+    assert main(["series", "-p", "7", "-d", "3", "-j", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == "5"
+    assert main(["series", "-p", "97", "-d", "96", "-j", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == "98"
 
 
 def test_cli_closed(capsys):
