@@ -61,8 +61,8 @@ def _prime_bounds(args) -> tuple[int, int]:
     return pmin, pmax
 
 
-def _context(args):
-    return make_context(args.prime, args.order, max_p=args.max_p)
+def _context(args, build=make_context):
+    return build(args.prime, args.order, max_p=args.max_p)
 
 
 def _print_json(payload) -> None:
@@ -81,7 +81,7 @@ def _trivial_payload(exc: DegenerateOrder) -> dict:
 
 def cmd_gd(args) -> int:
     try:
-        solution = waring.solve(_context(args))
+        solution = waring.solve(_context(args, waring.solver_context))
     except DegenerateOrder as exc:
         print(exc.trivial_g)
         return EXIT_OK
@@ -90,7 +90,7 @@ def cmd_gd(args) -> int:
 
 
 def cmd_sd(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, waring.solver_context)
     solution = waring.solve(ctx)
     payload = {
         "p": str(ctx.p),
@@ -130,7 +130,7 @@ def cmd_cyclo(args) -> int:
 
 
 def cmd_period(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, waring.solver_context)
     table = cyclotomy.compute_table(ctx)
     seq = waring.n_sequence(table, max(ctx.d - 1, 1))
     poly = periods.period_polynomial(seq)
@@ -247,7 +247,7 @@ def cmd_verify(args) -> int:
     failed = 0
     total = 0
     for p, d in sweep.record_keys(pmin, pmax, args.order):
-        solution = waring.solve(make_context(p, d, max_p=args.max_p))
+        solution = waring.solve(waring.solver_context(p, d, max_p=args.max_p))
         for check in sweep.full_checks(solution):
             total += 1
             mark = "PASS" if check.passed else "FAIL"

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from . import closedform, cyclotomy, oracle, series, waring
-from .errors import AllZeroToOrder, CyclomodError
-from .ffield import _max_p_limit, make_context, prime_factors, primes_in_range
+from .errors import AllZeroToOrder, CyclomodError, ScaleGuard
+from .ffield import _max_p_limit, prime_factors, primes_in_range
 
 log = logging.getLogger(__name__)
 
@@ -108,6 +108,12 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     seq = solution.seq
     ctx, table = seq.ctx, seq.table
     p, d, f, theta = ctx.p, ctx.d, ctx.f, ctx.theta
+    # the series route scans class alpha to order s_alpha, at most g
+    if solution.g > series.MAX_SERIES_ORDER:
+        raise ScaleGuard(
+            f"p={p}, d={d}: the series route would scan to order {solution.g}, "
+            f"over the cap of {series.MAX_SERIES_ORDER}"
+        )
 
     report = cyclotomy.verify_identities(table)
     checks.append(
@@ -199,7 +205,7 @@ def solve_single(
 ) -> SweepRecord:
     """Solve one (p, d) pair and run the checks for the requested level."""
     start = time.perf_counter()
-    ctx = make_context(p, d, max_p=max_p)
+    ctx = waring.solver_context(p, d, max_p=max_p)
     solution = waring.solve(ctx)
     closed_match: bool | None = None
     if verify_level == "full":

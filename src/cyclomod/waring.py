@@ -11,6 +11,13 @@ coupled linear recurrence
 over the cyclotomic numbers (v, l).  The minimal representation length for
 class alpha is then the least k with f^k + n(k, alpha + theta) != 0.
 
+Row v of the table sums to f - [v == theta], so the constant f^k solves the
+same recurrence, and so does the shift m(k, v) = f^k + n(k, v) = p * N(k, a),
+from m(0, v) = 0 and m(1, v) = p*[v == theta].  m(k, .) is zero on every
+class k powers cannot reach yet (one entry per row at f = 1), so NSequence
+propagates m on its support and records, in the same pass, the first k at
+which each class enters it: the answer s_by_recurrence reads.
+
 A second, independent route reads the same answer off the digraph on
 classes with an edge i -> j wherever (i, j) != 0: the minimal length is one
 more than the shortest walk from alpha + theta to theta.  solve() runs both
@@ -31,7 +38,7 @@ from .errors import (
     ScaleGuard,
     Unreachable,
 )
-from .ffield import FieldContext
+from .ffield import FieldContext, make_context, reduced_order
 
 log = logging.getLogger(__name__)
 
@@ -39,27 +46,35 @@ log = logging.getLogger(__name__)
 class NSequence:
     """Rows n(k, 0..d-1) of the class-coupled recurrence, exact and growable.
 
-    Values grow like f^k, so rows are plain Python integers; nothing here
-    may ever round.  Every computed row is checked against the divisibility
-    p | f^k + n(k, v), which holds because (f^k + n(k, v)) / p is a count.
-    A context whose worst case (recurrence_cells) exceeds MAX_CELLS is
-    refused with ScaleGuard before any row is built.
+    Each nonzero m(k, l) (module docstring) is pushed along column l of the
+    table, f * m(k-1, 0) is added at theta, and zeros are dropped.  _rows
+    holds the dense n(k, v) = m(k, v) - f^k as exact integers, built as
+    [-f^k] * d and patched on the support; first_k[v] is the least k with
+    m(k, v) != 0 so far, or None.  The shift needs every table row to sum to
+    f - [v == theta], checked once (SanityFailure), and each new row must
+    have p | m(k, v), a count times p.  A context over MAX_CELLS
+    (recurrence_cells) is refused with ScaleGuard before any row is built.
     """
 
     def __init__(self, table: CyclotomyTable, k_max: int = 1):
-        require_recurrence_fits(table.ctx)
-        self.table = table
         ctx = table.ctx
-        self._p, self._d, self._f, self._theta = ctx.p, ctx.d, ctx.f, ctx.theta
-        row0 = [-1] * self._d
-        row1 = [
-            self._p * (1 if v == self._theta else 0) - self._f
-            for v in range(self._d)
-        ]
-        self._rows = [row0, row1]
-        self._fk = [1, self._f]  # f^k alongside each row
-        self._check_row(0)
-        self._check_row(1)
+        p, d, f, theta = ctx.p, ctx.d, ctx.f, ctx.theta
+        require_recurrence_fits(p, d)
+        self.table = table
+        self._p, self._d, self._f, self._theta = p, d, f, theta
+        self._columns: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+        for v, support in enumerate(table.row_supports):
+            total = sum(c for _, c in support)
+            if total != f - (v == theta):
+                raise SanityFailure(f"row {v} of the table sums to {total}, "
+                                    f"not {f - (v == theta)} (p={p}, d={d})")
+            for l, c in support:
+                self._columns[l].append((v, c))
+        self._rows = [[-1] * d, [p * (v == theta) - f for v in range(d)]]
+        self._fk = [1, f]  # f^k alongside each row
+        self._m = ({}, {theta: p})  # the sparse rows m(k-1, .) and m(k, .)
+        self.first_k: list[int | None] = [None] * d
+        self.first_k[theta] = 1
         self.extend(k_max)
 
     @property
@@ -70,31 +85,34 @@ class NSequence:
     def k_max(self) -> int:
         return len(self._rows) - 1
 
-    def _check_row(self, k: int) -> None:
-        fk = self._fk[k]
-        for v, value in enumerate(self._rows[k]):
-            if (fk + value) % self._p:
-                raise SanityFailure(
-                    f"p={self._p} does not divide f^{k} + n({k},{v}) = {fk + value}"
-                )
-
     def extend(self, k_max: int) -> None:
         """Grow the table of rows up to index k_max (no-op if already there)."""
-        supports = self.table.row_supports
-        f, theta = self._f, self._theta
+        columns, first = self._columns, self.first_k
+        p, d, f, theta = self._p, self._d, self._f, self._theta
+        before, prev = self._m
         while len(self._rows) <= k_max:
-            prev = self._rows[-1]
-            prev2 = self._rows[-2]
-            row = []
-            for support in supports:
-                acc = 0
-                for l, c in support:
-                    acc += c * prev[l]
-                row.append(acc)
-            row[theta] += f * prev2[0]
+            k = len(self._rows)
+            acc: dict[int, int] = {}
+            get = acc.get
+            for l, value in prev.items():
+                for v, c in columns[l]:
+                    acc[v] = get(v, 0) + c * value
+            if 0 in before:
+                acc[theta] = get(theta, 0) + f * before[0]
+            fk = self._fk[-1] * f
+            row = [-fk] * d
+            support = {v: value for v, value in acc.items() if value}
+            for v, value in support.items():
+                if value % p:
+                    raise SanityFailure(
+                        f"p={p} does not divide f^{k} + n({k},{v}) = {value}")
+                row[v] = value - fk
+                if first[v] is None:
+                    first[v] = k
             self._rows.append(row)
-            self._fk.append(self._fk[-1] * f)
-            self._check_row(len(self._rows) - 1)
+            self._fk.append(fk)
+            before, prev = prev, support
+        self._m = (before, prev)
 
     def n(self, k: int, v: int) -> int:
         if k < 0:
@@ -113,28 +131,35 @@ class NSequence:
         return f"NSequence(p={ctx.p}, d={ctx.d}, k_max={self.k_max})"
 
 
-def recurrence_cells(ctx: FieldContext) -> int:
-    """The recurrence's worst case for this context, in cells.
+def recurrence_cells(p: int, d: int) -> int:
+    """The recurrence's worst case for order d mod p, in cells.
 
     s_by_recurrence may need every row up to k = d.  Memory: d stored rows
     of d values, each up to d*log2(f) bits since values grow like f^k, priced
-    in 64-bit words.  Work: each row takes one multiply-add per nonzero table
-    entry, of which there are at most min(d*d, p-2), priced one cell each.
+    in 64-bit words.  Work: one multiply-add per row and nonzero table entry,
+    of which there are at most min(d*d, p-2), priced one cell each; rows are
+    propagated on their support only, so this term is an upper bound.
     """
-    d = ctx.d
-    words = 1 + d * (ctx.f.bit_length() - 1) // 64
-    multiply_adds = d * min(d * d, ctx.p - 2)
+    f = (p - 1) // d
+    words = 1 + d * (f.bit_length() - 1) // 64
+    multiply_adds = d * min(d * d, p - 2)
     return d * d * words + multiply_adds
 
 
-def require_recurrence_fits(ctx: FieldContext) -> None:
-    """Refuse, with ScaleGuard, a context whose recurrence could exceed MAX_CELLS."""
-    cells = recurrence_cells(ctx)
+def require_recurrence_fits(p: int, d: int) -> None:
+    """Refuse, with ScaleGuard, a reduced order whose recurrence passes MAX_CELLS."""
+    cells = recurrence_cells(p, d)
     if cells > MAX_CELLS:
         raise ScaleGuard(
-            f"p={ctx.p}, d={ctx.d}: the recurrence may need {cells} cells, "
+            f"p={p}, d={d}: the recurrence may need {cells} cells, "
             f"over the cap of {MAX_CELLS}"
         )
+
+
+def solver_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
+    """make_context, refusing an oversized recurrence before the O(p) field."""
+    require_recurrence_fits(p, reduced_order(p, d, max_p=max_p))
+    return make_context(p, d, max_p=max_p)
 
 
 def n_sequence(table: CyclotomyTable, k_max: int) -> NSequence:
@@ -163,10 +188,10 @@ def count_representations(seq: NSequence, a: int, k: int) -> int:
 def s_by_recurrence(seq: NSequence, alpha: int) -> int:
     """Minimal length for class alpha via the exact integer recurrence.
 
-    Class 0 is the d-th powers themselves, so the answer there is 1.  For
-    any other class the k = 1 term vanishes identically, so the search
-    starts at 2 and is capped at d; the cap holding is a theorem for every
-    reachable class, so running past it raises instead of looping.
+    Class 0 is the d-th powers themselves, so the answer there is 1.  Any
+    other class is read off seq.first_k, extending the rows while it is
+    unset, up to k = d; the cap holding is a theorem for every reachable
+    class, so running past it raises instead of looping.
     """
     ctx = seq.ctx
     d = ctx.d
@@ -174,14 +199,14 @@ def s_by_recurrence(seq: NSequence, alpha: int) -> int:
     if alpha == 0:
         return 1
     v = (alpha + ctx.theta) % d
-    for k in range(2, d + 1):
-        if seq.k_max < k:
-            seq.extend(k)
-        if seq._fk[k] + seq._rows[k][v] != 0:
-            return k
-    raise BoundExceeded(
-        f"no representation length <= d={d} found for class {alpha} (p={ctx.p})"
-    )
+    first = seq.first_k
+    while first[v] is None and seq.k_max < d:
+        seq.extend(seq.k_max + 1)
+    if first[v] is None or first[v] > d:
+        raise BoundExceeded(
+            f"no representation length <= d={d} found for class {alpha} (p={ctx.p})"
+        )
+    return first[v]
 
 
 def s_by_reachability(table: CyclotomyTable, alpha: int) -> int:
@@ -240,7 +265,7 @@ def solve(ctx: FieldContext) -> WaringSolution:
     A context the recurrence could not handle is refused before its table
     is counted.
     """
-    require_recurrence_fits(ctx)
+    require_recurrence_fits(ctx.p, ctx.d)
     table = compute_table(ctx)
     seq = n_sequence(table, 1)
     per_class = []

@@ -2,11 +2,11 @@
 
 Everything here is deliberately naive and self-contained so it can
 arbitrate against the production code paths: the cyclotomic table comes
-from the literal definitional double loop, reachability from literal
-boolean matrix powers, the count identities from integer matrix powers
-of the table itself, the series differences from literal Fraction
-arithmetic on I_j, and the periods from floating-point sums of roots of
-unity.
+from the literal definitional double loop, the rows n(k, v) from the
+dense recurrence, reachability from literal boolean matrix powers, the
+count identities from integer matrix powers of the table itself, the
+series differences from literal Fraction arithmetic on I_j, and the
+periods from floating-point sums of roots of unity.
 """
 
 from __future__ import annotations
@@ -106,6 +106,25 @@ def table_from_counts(ctx: FieldContext, counts) -> CyclotomyTable:
         tuple((j, c) for j, c in enumerate(row) if c) for row in counts
     )
     return CyclotomyTable(ctx=ctx, row_supports=supports)
+
+
+def dense_rows(table: CyclotomyTable, k_max: int) -> list[list[int]]:
+    """Rows n(0..k_max, v) from the literal dense recurrence.
+
+    Every row v sums (v, l) * n(k, l) over its whole support, plus
+    f * n(k-1, 0) at theta; nothing is shifted and no zero is skipped.
+    """
+    ctx = table.ctx
+    p, d, f, theta = ctx.p, ctx.d, ctx.f, ctx.theta
+    rows = [[-1] * d, [p * (v == theta) - f for v in range(d)]]
+    while len(rows) <= k_max:
+        prev, prev2 = rows[-1], rows[-2]
+        row = [
+            sum(c * prev[l] for l, c in support) for support in table.row_supports
+        ]
+        row[theta] += f * prev2[0]
+        rows.append(row)
+    return rows
 
 
 def bool_matrix(table: CyclotomyTable) -> list[list[int]]:

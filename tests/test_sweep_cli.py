@@ -7,7 +7,7 @@ import pytest
 
 from cyclomod import cli
 from cyclomod.cli import main
-from cyclomod.errors import CyclomodError, InputError
+from cyclomod.errors import CyclomodError, InputError, ScaleGuard
 from cyclomod.ffield import primes_in_range
 from cyclomod.series import MAX_SERIES_ORDER
 from cyclomod.sweep import (
@@ -301,6 +301,47 @@ def test_cli_series_order_cap(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["order"] == "5"
     assert main(["series", "-p", "97", "-d", "96", "-j", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == "98"
+
+
+def test_oversized_recurrence_refused_before_the_field(monkeypatch, capsys):
+    import cyclomod.ffield as ffield_module
+
+    def no_field(*args):
+        raise AssertionError("the power-class array was built")
+
+    monkeypatch.setattr(ffield_module, "_power_classes", no_field)
+    for command in ("gd", "sd", "period", "verify"):
+        assert main([command, "-p", "4001", "-d", "4000"]) == 2, command
+        assert capsys.readouterr().err == (
+            "error: p=4001, d=4000: the recurrence may need 31996000 cells, "
+            "over the cap of 30000000\n"
+        )
+    with pytest.raises(ScaleGuard, match="the recurrence may need"):
+        solve_single(4001, 4000, "fast")
+
+
+def test_full_verification_refuses_series_scan_over_the_cap(monkeypatch, capsys):
+    import cyclomod.series as series_module
+
+    refusal = (
+        "p=601, d=600: the series route would scan to order 600, "
+        f"over the cap of {MAX_SERIES_ORDER}"
+    )
+    start = time.perf_counter()
+    assert main(["verify", "-p", "601", "-d", "600"]) == 2
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert main(["sweep", "-p", "601", "-d", "600", "--verify", "full"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"sweep: (p=601, d=600) failed: ScaleGuard: {refusal}\n"
+    )
+    # g = 3 for (7, 3): refused only once the cap is below it
+    monkeypatch.setattr(series_module, "MAX_SERIES_ORDER", 3)
+    assert main(["verify", "-p", "7", "-d", "3"]) == 0
+    monkeypatch.setattr(series_module, "MAX_SERIES_ORDER", 2)
+    assert main(["verify", "-p", "7", "-d", "3"]) == 2
 
 
 def test_cli_closed(capsys):

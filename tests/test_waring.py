@@ -13,12 +13,15 @@ from cyclomod import (
     solve,
 )
 from cyclomod.cyclotomy import MAX_CELLS
-from cyclomod.errors import InternalDisagreement, SanityFailure, ScaleGuard, Unreachable
-from cyclomod.ffield import FieldContext
+from cyclomod.errors import (
+    BoundExceeded, InternalDisagreement, SanityFailure, ScaleGuard, Unreachable,
+)
 from cyclomod.sweep import admissible_orders
 from cyclomod.waring import NSequence, recurrence_cells
 
-from conftest import count_matrix_powers, s_by_matrix_powers, table_from_counts
+from conftest import (
+    count_matrix_powers, dense_rows, s_by_matrix_powers, table_from_counts,
+)
 
 
 def test_base_values_p7_d3():
@@ -49,6 +52,82 @@ def test_sanity_failure_on_corrupt_table():
     corrupt = table_from_counts(table.ctx, ((0, 1, 1), (0, 1, 1), (1, 1, 0)))
     with pytest.raises(SanityFailure):
         NSequence(corrupt, 3)
+
+
+def test_wrong_row_sum_refused_at_construction():
+    # row 2 sums to 3, not f = 2: the shifted rows would no longer be the
+    # counts, so the table is refused before any row is built
+    table = compute_table(make_context(7, 3))
+    wrong = table_from_counts(table.ctx, ((1, 0, 0), (0, 2, 0), (0, 1, 2)))
+    with pytest.raises(SanityFailure, match="row 2 of the table sums to 3"):
+        NSequence(wrong, 1)
+
+
+def test_bound_exceeded_on_doctored_table():
+    # row sums are right, but class 1 never feeds class theta = 0
+    table = compute_table(make_context(7, 3))
+    doctored = table_from_counts(table.ctx, ((1, 0, 0), (0, 2, 0), (0, 0, 2)))
+    seq = NSequence(doctored, 1)
+    with pytest.raises(BoundExceeded, match="class 1"):
+        s_by_recurrence(seq, 1)
+    assert seq.k_max == 3
+    assert seq.first_k == [1, None, None]
+
+
+def test_cancelled_entries_leave_the_support():
+    # doctored (5, 4) rows with a negative count: m(3, 3) = 5 - 5 cancels,
+    # and an exact zero must not count as class 3 entering the support
+    table = compute_table(make_context(5, 4))
+    doctored = table_from_counts(
+        table.ctx, ((0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 0), (1, -1, 0, 1))
+    )
+    seq = NSequence(doctored, 4)
+    assert seq.first_k == [2, 2, 1, None]
+    assert seq._rows == dense_rows(doctored, 4)
+
+
+def test_sparse_rows_match_dense_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.sampled_from(primes_in_range(3, 400)))
+        return p, draw(st.sampled_from(admissible_orders(p)))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((397, 396))  # f = 1
+    @hypothesis.example((389, 194))  # f = 2
+    @hypothesis.example((397, 4))  # large f
+    def check(case):
+        p, d = case
+        ctx = make_context(p, d)
+        table = compute_table(ctx)
+        seq = n_sequence(table, d)
+        assert seq._rows == dense_rows(table, d)
+        for v in range(d):
+            scan = next(
+                (k for k in range(1, d + 1) if ctx.f**k + seq._rows[k][v]), None
+            )
+            assert seq.first_k[v] == scan, (p, d, v)
+
+    check()
+
+
+@pytest.mark.parametrize("p, d", [(3001, 3000), (2003, 1001), (1009, 504)])
+def test_deep_recurrence_matches_closed_answer(p, d):
+    # f = 1: 1 is the only power, so class alpha needs r = omega^alpha ones;
+    # f = 2: the powers are +-1, so it needs min(r, p - r)
+    ctx = make_context(p, d)
+    solution = solve(ctx)
+    expected = []
+    for alpha in range(d):
+        r = ctx.element_of_class(alpha)
+        expected.append(r if ctx.f == 1 else min(r, p - r))
+    assert solution.per_class_s == tuple(expected)
+    assert solution.g == (p - 1 if ctx.f == 1 else (p - 1) // 2)
+    assert solution.method == "recurrence"
 
 
 def test_quadratic_identity_links_counts_to_table():
@@ -209,14 +288,14 @@ def test_three_way_equivalence_small():
 
 def test_recurrence_guard_spares_d_equal_p_minus_1_near_3000():
     for p in primes_in_range(3001, 3061):
-        assert recurrence_cells(make_context(p, p - 1)) <= MAX_CELLS, p
+        assert recurrence_cells(p, p - 1) <= MAX_CELLS, p
 
 
 def test_recurrence_guard_refuses_before_any_row():
     ctx = make_context(4001, 4000)  # f = 1: every table entry is 0 or 1
     table = compute_table(ctx)
     assert sum(map(len, table.row_supports)) == 4001 - 2
-    assert recurrence_cells(ctx) == 4000 * (4000 + 3999) > MAX_CELLS
+    assert recurrence_cells(4001, 4000) == 4000 * (4000 + 3999) > MAX_CELLS
     with pytest.raises(ScaleGuard, match="the recurrence may need"):
         NSequence(table)
     with pytest.raises(ScaleGuard, match="the recurrence may need"):
@@ -237,12 +316,10 @@ def test_solve_refuses_before_counting_the_table(monkeypatch):
 def test_recurrence_cells_price_wide_values():
     # f = 2 and d = 249: stored values reach 2^249, four 64-bit words each;
     # the 249 * 497 multiply-adds are priced one cell each
-    assert recurrence_cells(make_context(499, 249)) == 249 * 249 * 4 + 249 * 497
+    assert recurrence_cells(499, 249) == 249 * 249 * 4 + 249 * 497
 
 
 def test_recurrence_cells_spare_large_p_with_moderate_d():
     # p = 4194301, d = 110: 110 rows of 110 values up to 26 words wide, and
     # 110 rows of 12100 multiply-adds; the width must not scale the work
-    ctx = FieldContext(p=4194301, omega=7, d=110, f=38130, theta=0,
-                       index_table=bytearray())
-    assert recurrence_cells(ctx) == 110 * 110 * 26 + 110 * 12100 <= MAX_CELLS
+    assert recurrence_cells(4194301, 110) == 110 * 110 * 26 + 110 * 12100 <= MAX_CELLS
