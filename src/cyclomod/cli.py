@@ -61,8 +61,8 @@ def _prime_bounds(args) -> tuple[int, int]:
     return pmin, pmax
 
 
-def _context(args, build=make_context):
-    return build(args.prime, args.order, max_p=args.max_p)
+def _context(args):
+    return make_context(args.prime, args.order, max_p=args.max_p)
 
 
 def _print_json(payload) -> None:
@@ -81,7 +81,8 @@ def _trivial_payload(exc: DegenerateOrder) -> dict:
 
 def cmd_gd(args) -> int:
     try:
-        solution = waring.solve(_context(args, waring.solver_context))
+        ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
+        solution = waring.solve(ctx)
     except DegenerateOrder as exc:
         print(exc.trivial_g)
         return EXIT_OK
@@ -90,7 +91,7 @@ def cmd_gd(args) -> int:
 
 
 def cmd_sd(args) -> int:
-    ctx = _context(args, waring.solver_context)
+    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
     solution = waring.solve(ctx)
     payload = {
         "p": str(ctx.p),
@@ -130,7 +131,7 @@ def cmd_cyclo(args) -> int:
 
 
 def cmd_period(args) -> int:
-    ctx = _context(args, waring.solver_context)
+    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
     table = cyclotomy.compute_table(ctx)
     seq = waring.n_sequence(table, max(ctx.d - 1, 1))
     poly = periods.period_polynomial(seq)
@@ -148,7 +149,7 @@ def cmd_period(args) -> int:
 def cmd_series(args) -> int:
     if args.series_order is not None:
         series.require_order(args.series_order)  # before the O(p) field
-    ctx = _context(args)
+    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
     order = args.series_order if args.series_order is not None else ctx.d + 2
     table = cyclotomy.compute_table(ctx)
     seq = waring.n_sequence(table, 1)

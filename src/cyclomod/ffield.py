@@ -151,11 +151,16 @@ class FieldContext:
         return pow(self.omega, alpha % self.d, self.p)
 
 
-def reduced_order(p: int, d: int, *, max_p: int | None = None) -> int:
-    """gcd(d, p-1), once p is an odd prime within the cap and d >= 1.
+def make_context(
+    p: int, d: int, *, max_p: int | None = None, guard=None
+) -> FieldContext:
+    """Build the field context for (p, d).
 
-    A reduced order of 1 (every unit a d-th power) raises DegenerateOrder,
-    which carries the trivial answer, since no solver accepts that context.
+    d is replaced by gcd(d, p-1) since d-th powers only depend on that gcd.
+    A reduced order of 1 means every unit is a d-th power; that case raises
+    DegenerateOrder (carrying the trivial answer) rather than producing a
+    context no solver accepts.  guard(p, d_eff), when given, runs after
+    these cheap checks and before the O(p) field is built.
     """
     if not is_prime(p):
         raise NotPrime(p)
@@ -167,12 +172,9 @@ def reduced_order(p: int, d: int, *, max_p: int | None = None) -> int:
     limit = _max_p_limit(max_p)
     if p > limit:
         raise ScaleGuard(f"p={p} exceeds the configured cap {limit}")
-    return d_eff
+    if guard is not None:
+        guard(p, d_eff)
 
-
-def make_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
-    """Build the field context for (p, gcd(d, p-1)), on which d-th powers depend."""
-    d_eff = reduced_order(p, d, max_p=max_p)
     omega = smallest_primitive_root(p)
     if any(pow(omega, (p - 1) // q, p) == 1 for q in prime_factors(p - 1)):
         raise SanityFailure(f"omega={omega} does not have order p-1 mod {p}")

@@ -38,7 +38,7 @@ from .errors import (
     ScaleGuard,
     Unreachable,
 )
-from .ffield import FieldContext, make_context, reduced_order
+from .ffield import FieldContext, make_context
 
 log = logging.getLogger(__name__)
 
@@ -158,8 +158,7 @@ def require_recurrence_fits(p: int, d: int) -> None:
 
 def solver_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
     """make_context, refusing an oversized recurrence before the O(p) field."""
-    require_recurrence_fits(p, reduced_order(p, d, max_p=max_p))
-    return make_context(p, d, max_p=max_p)
+    return make_context(p, d, max_p=max_p, guard=require_recurrence_fits)
 
 
 def n_sequence(table: CyclotomyTable, k_max: int) -> NSequence:

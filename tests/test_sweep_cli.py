@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cyclomod import cli
+from cyclomod import ffield
 from cyclomod.cli import main
 from cyclomod.errors import CyclomodError, InputError, ScaleGuard
 from cyclomod.ffield import primes_in_range
@@ -290,7 +290,7 @@ def test_cli_series_order_cap(capsys, monkeypatch):
         raise AssertionError("the field was built before the refusal")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "make_context", no_field)
+        patch.setattr(ffield, "_power_classes", no_field)
         start = time.perf_counter()
         assert main(["series", "-p", "7", "-d", "3", "-j", "1",
                      "--series-order", "20000"]) == 2
@@ -304,14 +304,12 @@ def test_cli_series_order_cap(capsys, monkeypatch):
 
 
 def test_oversized_recurrence_refused_before_the_field(monkeypatch, capsys):
-    import cyclomod.ffield as ffield_module
-
     def no_field(*args):
         raise AssertionError("the power-class array was built")
 
-    monkeypatch.setattr(ffield_module, "_power_classes", no_field)
-    for command in ("gd", "sd", "period", "verify"):
-        assert main([command, "-p", "4001", "-d", "4000"]) == 2, command
+    monkeypatch.setattr(ffield, "_power_classes", no_field)
+    for command in (["gd"], ["sd"], ["period"], ["verify"], ["series", "-j", "1"]):
+        assert main(command + ["-p", "4001", "-d", "4000"]) == 2, command
         assert capsys.readouterr().err == (
             "error: p=4001, d=4000: the recurrence may need 31996000 cells, "
             "over the cap of 30000000\n"
