@@ -61,10 +61,6 @@ def _prime_bounds(args) -> tuple[int, int]:
     return pmin, pmax
 
 
-def _context(args):
-    return make_context(args.prime, args.order, max_p=args.max_p)
-
-
 def _print_json(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
@@ -112,7 +108,10 @@ def cmd_sd(args) -> int:
 
 
 def cmd_cyclo(args) -> int:
-    ctx = _context(args)
+    ctx = make_context(
+        args.prime, args.order, max_p=args.max_p,
+        guard=cyclotomy.require_table_fits,
+    )
     table = cyclotomy.compute_table(ctx)
     if args.format == "csv":
         for row in table.counts:
@@ -196,7 +195,7 @@ def cmd_closed(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ctx = _context(args)
+    ctx = make_context(args.prime, args.order, max_p=args.max_p)
     counts = oracle.dp_counts(ctx, args.k_max)
     print("k," + ",".join(str(a) for a in range(ctx.p)))
     for k in range(1, counts.k_max + 1):

@@ -5,20 +5,24 @@ Fix a context (p, omega, d).  The cyclotomic number (i, j) counts pairs
 Equivalently: elements x of power class i such that 1 + x lands in power
 class j.  The whole table holds only p-2 incidences (x = 1..p-2, skipping
 x = p-1, where 1 + x = 0), so it is counted in one O(p) pass straight into
-sparse rows: per class i, the nonzero (j, count) pairs.  The solvers work on
-those rows alone; the dense d x d matrix is derived from them only when a
-printer or a classical check asks for it.  The definitional double loop is
-kept in the test suite as an independent oracle.
+sparse rows: per class i, the nonzero (j, count) pairs.  The pass works a
+chunk of the power-class array at a time, with every incidence of the chunk
+coded at once in integer lanes, so no Python-level step runs per residue
+except in the final tally.  The solvers work on the sparse rows alone; the
+dense d x d matrix is derived from them only when a printer or a classical
+check asks for it.  The definitional double loop and the per-residue tally
+are kept in the test suite as independent oracles.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
-from operator import add
 from typing import Sequence
 
 from .errors import ScaleGuard
@@ -31,6 +35,13 @@ from .ffield import FieldContext
 #: d-sized is built.  d = p - 1 near 3060 needs 1.9e7 cells; p = 20011,
 #: d = 20010 would need 8e8.
 MAX_CELLS = 3 * 10**7
+
+# Incidences are coded and tallied this many at a time, so no transient is
+# p-sized (see ffield._FILL_CHUNK).
+_TALLY_CHUNK = 1 << 14
+
+# Up to this many codes, one bytes.count per code beats a Counter.
+_COUNTED_CODES = 64
 
 
 @dataclass(frozen=True)
@@ -87,26 +98,53 @@ def walk_lengths(row_supports: Sequence, target: int) -> tuple[int | None, ...]:
     return tuple(dist)
 
 
-def compute_table(ctx: FieldContext) -> CyclotomyTable:
-    """Count all cyclotomic numbers of order d in one pass over the units.
+def require_table_fits(p: int, d: int) -> None:
+    """Refuse, with ScaleGuard, an order whose d x d table passes MAX_CELLS.
 
-    Each incidence x = 1..p-2 is coded as class(x) * d + class(x + 1), read
-    straight off the power-class array, and one Counter tallies the codes.
-    Sorted, the codes are the row supports in order: row i holds the codes
-    i*d .. i*d + d-1.  No d x d matrix is built, and the tally holds at most
-    min(d*d, p-2) codes.
-
-    A table with d*d > MAX_CELLS is refused before counting: its dense view
-    would exceed the cap, and the recurrence needs at least d*d cells.
+    Its dense view would exceed the cap, and the recurrence needs at least
+    d*d cells.  Takes (p, d) alone, so make_context can run it as its guard
+    before the O(p) field is built.
     """
-    p, d = ctx.p, ctx.d
     if d * d > MAX_CELLS:
         raise ScaleGuard(
             f"p={p}, d={d}: the {d} x {d} table would need {d * d} cells, "
             f"over the cap of {MAX_CELLS}"
         )
+
+
+def compute_table(ctx: FieldContext) -> CyclotomyTable:
+    """Count all cyclotomic numbers of order d in one pass over the units.
+
+    Each incidence x = 1..p-2 is coded as class(x) * d + class(x + 1).  A
+    chunk of the power-class array is read as two integers X and Y of
+    lanes, one lane per x, shifted by one residue; the lanes are widened
+    first if d*d - 1 does not fit them.  Then X * d + Y holds every code of
+    the chunk in its own lane, with no carry between lanes.  The codes are
+    tallied with one bytes.count per code when there are few, else with a
+    Counter.  Sorted, the codes are the row supports in order: row i holds
+    the codes i*d .. i*d + d-1.  No d x d matrix is built, and the tally
+    holds at most min(d*d, p-2) codes.
+
+    Orders refused by require_table_fits are refused before counting.
+    """
+    p, d = ctx.p, ctx.d
+    require_table_fits(p, d)
+    cells = d * d
+    typecode = "B" if cells <= 1 << 8 else "H" if cells <= 1 << 16 else "I"
     classes = memoryview(ctx.index_table)
-    tally = Counter(map(add, map(d.__mul__, classes[1 : p - 1]), classes[2:p]))
+    tally: Counter[int] = Counter()
+    for lo in range(1, p - 1, _TALLY_CHUNK):
+        hi = min(lo + _TALLY_CHUNK, p - 1)
+        lanes = classes[lo : hi + 1]  # class(x) for x = lo .. hi
+        if lanes.format != typecode:
+            lanes = memoryview(array(typecode, lanes))
+        x = int.from_bytes(lanes[:-1], sys.byteorder)
+        y = int.from_bytes(lanes[1:], sys.byteorder)
+        coded = (x * d + y).to_bytes(lanes[1:].nbytes, sys.byteorder)
+        if cells <= _COUNTED_CODES:
+            tally.update({c: n for c in range(cells) if (n := coded.count(c))})
+        else:
+            tally.update(memoryview(coded).cast(typecode))
     codes = sorted(tally)
     counts = list(map(tally.__getitem__, codes))
     bounds = [bisect_left(codes, d * i) for i in range(d + 1)]

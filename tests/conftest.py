@@ -1,19 +1,22 @@
 """Shared helpers: independent oracles the implementation must agree with.
 
 Everything here is deliberately naive and self-contained so it can
-arbitrate against the production code paths: the cyclotomic table comes
-from the literal definitional double loop, the rows n(k, v) from the
-dense recurrence, reachability from literal boolean matrix powers, the
-count identities from integer matrix powers of the table itself, the
-series differences from literal Fraction arithmetic on I_j, and the
-periods from floating-point sums of roots of unity.
+arbitrate against the production code paths: the power classes come from
+a walk over every power of omega, the cyclotomic table from the literal
+definitional double loop and from a per-residue Counter tally, the rows
+n(k, v) from the dense recurrence, reachability from literal boolean
+matrix powers, the count identities from integer matrix powers of the
+table itself, the series differences from literal Fraction arithmetic on
+I_j, and the periods from floating-point sums of roots of unity.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -79,6 +82,30 @@ def numeric_periods(ctx: FieldContext) -> list[complex]:
             )
         )
     return out
+
+
+def walk_classes(p: int, omega: int, d: int) -> list[int]:
+    """ind(a) mod d for every residue a, by walking all p - 1 powers of omega.
+
+    Entry 0 is unused and left 0, as in FieldContext.index_table.
+    """
+    classes = [0] * p
+    x = 1
+    for k in range(p - 1):
+        classes[x] = k % d
+        x = x * omega % p
+    return classes
+
+
+def counter_row_supports(ctx: FieldContext) -> tuple:
+    """row_supports from one Counter over the codes class(x)*d + class(x+1)."""
+    p, d = ctx.p, ctx.d
+    classes = ctx.index_table
+    tally = Counter(map(add, map(d.__mul__, classes[1 : p - 1]), classes[2:p]))
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for code in sorted(tally):
+        rows[code // d].append((code % d, tally[code]))
+    return tuple(map(tuple, rows))
 
 
 def definitional_cyclotomic_counts(ctx: FieldContext) -> list[list[int]]:

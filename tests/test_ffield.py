@@ -9,7 +9,9 @@ from cyclomod.errors import (
 from cyclomod.ffield import is_prime, prime_factors, smallest_primitive_root
 from cyclomod.sweep import admissible_orders
 
-from conftest import definitional_cyclotomic_counts, index_of
+from conftest import (
+    counter_row_supports, definitional_cyclotomic_counts, index_of, walk_classes,
+)
 
 
 def test_is_prime_small():
@@ -59,6 +61,21 @@ def test_make_context_refuses_a_non_generator(monkeypatch):
     monkeypatch.setattr(ffield, "smallest_primitive_root", lambda p: 3)
     with pytest.raises(SanityFailure, match="omega=3 does not have order"):
         make_context(13, 4)
+
+
+@pytest.mark.parametrize(
+    "p,omega,message",
+    [
+        (13, 4, r"omega\^6 is not -1"),  # a square: order (p-1)/2
+        (7, 2, r"omega\^3 is not -1"),  # order (p-1)/2, and -1 is not a square
+        (13, 5, "missed both a and 13 - a"),  # order (p-1)/3, 5^6 = -1
+        (1543, 125, "missed both a and 1543 - a"),  # 5^3, two-byte lanes
+    ],
+)
+def test_power_classes_refuse_a_non_generator(p, omega, message):
+    for d in admissible_orders(p):
+        with pytest.raises(SanityFailure, match=message):
+            ffield._power_classes(p, omega, d)
 
 
 def test_make_context_basic():
@@ -169,6 +186,17 @@ def test_class_array_is_compact():
     wide = make_context(1009, 336).index_table
     assert isinstance(wide, array) and wide.typecode == "H"
     assert len(wide) == 1009
+    # 0 marks an unset residue during the walk, so 256 classes need 'H'
+    assert type(make_context(1021, 255).index_table) is bytearray
+    assert make_context(257, 256).index_table.typecode == "H"
+
+
+@pytest.mark.parametrize("d,typecode", [(16384, "H"), (32768, "I"), (65536, "I")])
+def test_wide_classes_match_the_walk(d, typecode):
+    # lanes keep a spare top bit, so d >= 2^15 takes four bytes
+    ctx = make_context(65537, d)
+    assert ctx.index_table.typecode == typecode
+    assert list(ctx.index_table) == walk_classes(65537, ctx.omega, d)
 
 
 def test_compact_field_property():
@@ -201,5 +229,29 @@ def test_compact_field_property():
         assert table.row_supports == tuple(
             tuple((j, c) for j, c in enumerate(row) if c) for row in oracle
         )
+
+    check()
+
+
+def test_half_walk_and_lane_tally_match_the_oracles():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(st.sampled_from(primes_in_range(3, 3000)))
+    @hypothesis.example(3)  # smallest half: one pair
+    @hypothesis.example(5)
+    @hypothesis.example(17)  # d = 16: codes fill one byte
+    @hypothesis.example(103)  # d = 17: codes need two bytes
+    @hypothesis.example(1021)  # d = 255: last byte classes
+    @hypothesis.example(257)  # d = 256: two-byte classes and codes
+    @hypothesis.example(769)
+    @hypothesis.example(1543)  # d = 257: codes need four bytes
+    @hypothesis.example(4001)  # d = 4000
+    def check(p):
+        for d in admissible_orders(p):
+            ctx = make_context(p, d)
+            assert list(ctx.index_table) == walk_classes(p, ctx.omega, d), d
+            assert compute_table(ctx).row_supports == counter_row_supports(ctx), d
 
     check()

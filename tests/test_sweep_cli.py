@@ -318,6 +318,18 @@ def test_oversized_recurrence_refused_before_the_field(monkeypatch, capsys):
         solve_single(4001, 4000, "fast")
 
 
+def test_oversized_table_refused_before_the_field(monkeypatch, capsys):
+    def no_field(*args):
+        raise AssertionError("the power-class array was built")
+
+    monkeypatch.setattr(ffield, "_power_classes", no_field)
+    assert main(["cyclo", "-p", "1000003", "-d", "333334"]) == 2
+    assert capsys.readouterr().err == (
+        "error: p=1000003, d=333334: the 333334 x 333334 table would need "
+        "111111555556 cells, over the cap of 30000000\n"
+    )
+
+
 def test_full_verification_refuses_series_scan_over_the_cap(monkeypatch, capsys):
     import cyclomod.series as series_module
 
