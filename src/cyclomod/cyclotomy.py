@@ -36,8 +36,8 @@ from .ffield import FieldContext
 #: d = 20010 would need 8e8.
 MAX_CELLS = 3 * 10**7
 
-# Incidences are coded and tallied this many at a time, so no transient is
-# p-sized (see ffield._FILL_CHUNK).
+# Incidences are coded and tallied this many at a time, so every transient
+# stays far below the p-entry class array.
 _TALLY_CHUNK = 1 << 14
 
 # Up to this many codes, one bytes.count per code beats a Counter.

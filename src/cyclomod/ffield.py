@@ -5,11 +5,16 @@ omega, an order d dividing p-1, the cofactor f = (p-1)/d, theta, the class
 of -1 mod d, and for every residue a its power class ind(a) mod d, where
 omega^ind(a) = a.  Every answer depends on the field only through those
 classes, so the full discrete log is not stored: the classes are one typed
-array (one byte per residue when d <= 255, two or four above that).  It is
-filled by a walk over half the powers of omega: omega^((p-1)/2) = -1, so
-class(p - a) = class(a) + theta, and the other half is copied across the
-pairs (a, p - a) a chunk at a time with whole-chunk integer and translate
-operations.  Construction is O(p) in time and O(p) bytes.
+array (one byte per residue when d <= 255, two or four above that).
+
+Walking the powers of omega writes the classes at random positions, which
+costs cache and TLB misses at every write.  So only a short run of powers
+is walked, and class(m*a) = class(a) + class(m) fills the rest in residue
+order: a pass with a small multiplier m (-1, then small primes) reads m
+contiguous slices and writes one chunk, with whole-chunk translate and
+integer operations.  A last pass proves class(omega*a) = class(a) + 1 for
+every a, which pins every class.  Construction is O(p) in time and O(p)
+bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import cycle
+from itertools import chain, cycle
 
 from .errors import (
     DegenerateOrder, InputError, NotPrime, SanityFailure, ScaleGuard, ZeroArgument,
@@ -34,9 +39,17 @@ DEFAULT_MAX_P = 1 << 22
 # Powers of omega are produced and classified this many at a time.
 _WALK_BLOCK = 4096
 
-# Pairs (a, p - a) are completed this many at a time.  The transients stay
-# small: at 2^16 the peak RSS at p = 4194301 rose by ~0.8 MiB, at no gain.
-_FILL_CHUNK = 1 << 14
+# The walk labels at most this many powers, each at a random position of the
+# class array; the multiplier passes label the rest in residue order.  At
+# the default cap on p that is about p/32.
+_SEED_POWERS = 1 << 17
+
+# The passes and the check read and write this many residues at a time.
+_FILL_CHUNK = 1 << 16
+
+# Passes stop once at most p >> _FEW_SHIFT residues are unset: labelling
+# those one at a time costs less than another O(p) pass.
+_FEW_SHIFT = 8
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24, far
 # beyond the supported range.
@@ -183,8 +196,7 @@ def make_context(
         guard(p, d_eff)
 
     omega = smallest_primitive_root(p)
-    if any(pow(omega, (p - 1) // q, p) == 1 for q in prime_factors(p - 1)):
-        raise SanityFailure(f"omega={omega} does not have order p-1 mod {p}")
+    _require_generator(p, omega)
     classes = _power_classes(p, omega, d_eff)
 
     f = (p - 1) // d_eff
@@ -202,31 +214,42 @@ def make_context(
 def _power_classes(p: int, omega: int, d: int) -> bytearray | array:
     """ind(a) mod d for every residue a.
 
-    Only omega^0 .. omega^((p-3)/2) are walked, a block at a time, each
-    block as one multiple of a fixed run of consecutive powers; the k-th
-    power is labelled k mod d + 1, so 0 marks a residue not reached.  As
-    omega^((p-1)/2) = -1, each pair (a, p - a) has one side walked, and the
-    other side's class is that class plus theta.  The pairs are completed a
-    chunk at a time, each side read as one integer of lanes: one side's
-    classes (label - 1) are OR-ed with the other side's mirrored classes
-    (label - 1 + theta mod d), reversed.  No p-length list is built.
+    The class of omega^k is labelled k mod d + 1, 0 marking a residue not
+    labelled yet, in four stages on the one array:
 
-    SanityFailure is raised unless omega^((p-1)/2) = -1 and every pair has
-    a side walked.  The walk writes (p-1)/2 times, so the second check
-    also rules out a pair walked on both sides; together they hold only
-    for a generator.
+    1. A walk labels omega^0 .. omega^(W-1), W = min((p-1)/2, _SEED_POWERS),
+       a block of consecutive powers at a time.  These writes land at
+       random positions, so W is kept small.
+    2. Passes use class(m*a) = class(a) + class(m).  A pass with multiplier
+       m labels every unset x whose x/m mod p is labelled, a chunk of x at a
+       time: the chunk's image (_image) is relabelled by + class(m) mod d
+       and OR-ed into the chunk.  The first pass multiplies by -1, of class
+       theta; when W = (p-1)/2 it completes every pair (a, p - a) and is
+       the only one.  Later passes use the primes 2, 3, 5, ... but omega
+       (whose pass would label only the ends of the walked runs), with
+       class(m) found from m^f by baby-step giant-step.  Passes stop once
+       at most p >> _FEW_SHIFT residues are unset, or after a pass that
+       labels less than a quarter of the smaller of the labelled and the
+       unset residues: the labelled set is then nearly closed under the
+       multipliers, and more passes would gain little.
+    3. Each residue a still unset is labelled from the first labelled
+       a*omega^k, and so is each residue on the way (_fill_stragglers).
+    4. _check_classes relabels to classes and proves every one right.
+
+    SanityFailure is raised before any of that unless omega^((p-1)/2) = -1
+    and omega has order p - 1, and by the check.
     """
     half = (p - 1) // 2
     if pow(omega, half, p) != p - 1:
         raise SanityFailure(f"omega={omega}: omega^{half} is not -1 mod {p}")
+    _require_generator(p, omega)
     if d < 1 << 8:
         classes: bytearray | array = bytearray(p)
-        unit = bytearray(b"\1")
     else:
-        # a spare top bit per lane lets _lane_classes compare without carries
-        unit = array("H" if d < 1 << 15 else "I", [1])
-        classes = array(unit.typecode, [0]) * p
-    size = min(_WALK_BLOCK, half)
+        # a spare top bit per lane lets _lane_add compare without carries
+        classes = array("H" if d < 1 << 15 else "I", [0]) * p
+    seed = min(half, _SEED_POWERS)
+    size = min(_WALK_BLOCK, seed)
     run = [1] * size
     for j in range(1, size):
         run[j] = run[j - 1] * omega % p
@@ -234,43 +257,204 @@ def _power_classes(p: int, omega: int, d: int) -> bytearray | array:
     labels = cycle(range(1, d + 1))
     label = classes.__setitem__
     start = 1  # omega^k at the head of the current block
-    for k in range(0, half, size):
-        block = [start * r % p for r in run[: half - k]]
+    for k in range(0, seed, size):
+        block = [start * r % p for r in run[: seed - k]]
         deque(map(label, block, labels), 0)
         start = start * stride % p
 
-    theta = half % d
-    bits = 8 * memoryview(unit).nbytes
-    if type(classes) is bytearray:
-        walked = bytes([0, *range(d)]).ljust(256, b"\0")
-        mirrored = bytes([0, *range(theta, d), *range(theta)]).ljust(256, b"\0")
+    few = p >> _FEW_SHIFT
+    unset = p - 1 - seed
+    primes = (m for m in range(2, p) if m != omega and is_prime(m))
+    for m in chain([-1], primes):
+        if unset <= few:
+            break
+        c = half % d if m == -1 else _class_of_unit(p, omega, d, m)
+        left = _fill_pass(classes, p, m, c, d)
+        # had the labels been at random positions, the pass would have
+        # labelled at least half the smaller of the two sets
+        stalled = 4 * (unset - left) < min(p - 1 - unset, unset)
+        unset = left
+        if stalled:
+            break
+    if unset:
+        _fill_stragglers(classes, p, omega, d)
+    _check_classes(classes, p, omega, d)
+    return classes
+
+
+def _require_generator(p: int, omega: int) -> None:
+    """Raise SanityFailure unless omega has order p - 1 mod p."""
+    if any(pow(omega, (p - 1) // q, p) == 1 for q in prime_factors(p - 1)):
+        raise SanityFailure(f"omega={omega} does not have order p-1 mod {p}")
+
+
+def _class_of_unit(p: int, omega: int, d: int, m: int) -> int:
+    """ind(m) mod d, by baby-step giant-step in the order-d group <omega^f>.
+
+    m^f = (omega^f)^ind(m) with f = (p-1)/d, and omega^f has order d.
+    """
+    f = (p - 1) // d
+    base = pow(omega, f, p)
+    target = pow(m, f, p)
+    n = math.isqrt(d - 1) + 1  # n * n >= d
+    baby: dict[int, int] = {}
+    x = 1
+    for j in range(n):
+        baby[x] = j  # distinct, as n <= d
+        x = x * base % p
+    giant = pow(base, -n, p)
+    for i in range(n):
+        j = baby.get(target)
+        if j is not None:
+            return i * n + j
+        target = target * giant % p
+    raise SanityFailure(f"{m}^{f} is not a power of omega^{f} mod {p}")
+
+
+def _lane_bits(classes: bytearray | array) -> int:
+    """Bits in one lane of the class array."""
+    return 8 * memoryview(classes).itemsize
+
+
+def _chunks(p: int, bits: int):
+    """Residues 1 .. p-1 as (x0, x1, ones), a chunk [x0, x1) at a time.
+
+    Chunks hold at most _FILL_CHUNK residues, and ones holds 1 in each of
+    the chunk's bits-wide lanes.
+    """
+    lane = (1).to_bytes(bits // 8, sys.byteorder)
+    ones = {}
+    for x0 in range(1, p, _FILL_CHUNK):
+        x1 = min(x0 + _FILL_CHUNK, p)
+        if x1 - x0 not in ones:
+            ones[x1 - x0] = _as_int(lane * (x1 - x0))
+        yield x0, x1, ones[x1 - x0]
+
+
+def _image(
+    classes: bytearray | array, p: int, m: int, x0: int, x1: int
+) -> bytearray:
+    """The lanes classes[x / m mod p] for x = x0 .. x1-1, as bytes in memory order.
+
+    m is -1 or a positive integer below p.  The x = m*a - j*p with x in
+    [x0, x1) have the contiguous quotients a in [a0, a1) and step m, one
+    such run for each j < m.  Lanes are copied as byte planes, since
+    bytearray slices with a step are cheap and array ones are not.
+    """
+    w = memoryview(classes).itemsize
+    image = bytearray((x1 - x0) * w)
+    if m == -1:
+        # reversing the bytes reverses the lanes and the bytes within each
+        mirror = bytes(classes[p - x1 + 1 : p - x0 + 1])[::-1]
+        for k in range(w):
+            image[k::w] = mirror[w - 1 - k :: w]
+        return image
+    for j in range(m):
+        a0 = -(-(x0 + j * p) // m)
+        a1 = -(-(x1 + j * p) // m)
+        t = w * (m * a0 - j * p - x0)
+        if w == 1:
+            image[t::m] = classes[a0:a1]
+            continue
+        run = bytes(classes[a0:a1])
+        for k in range(w):
+            image[t + k :: w * m] = run[k::w]
+    return image
+
+
+def _fill_pass(classes: bytearray | array, p: int, m: int, c: int, d: int) -> int:
+    """Label each unset x whose x / m is labelled; return how many stay unset.
+
+    m has class c, so x gets the label of x / m plus c mod d.  Unset lanes
+    of the image stay 0, and OR keeps the labels the chunk already has.
+    """
+    bits = _lane_bits(classes)
+    if bits == 8:
+        table = bytes([0, *range(c + 1, d + 1), *range(1, c + 1)]).ljust(256, b"\0")
 
         def relabel(lanes, ones):
-            return (
-                _as_int(lanes.translate(walked)),
-                _as_int(lanes.translate(mirrored)),
-            )
+            return _as_int(lanes.translate(table))
     else:
 
         def relabel(lanes, ones):
-            return _lane_classes(_as_int(lanes), ones, bits, d, theta)
+            # labels above d - c wrap; unset lanes are below that and stay 0
+            x = _as_int(lanes)
+            live = _set_lanes(x, ones, bits)
+            return _lane_add(x, live, ones, bits, c, d, d - c + 1)
 
-    for lo in range(1, half + 1, _FILL_CHUNK):
-        hi = min(lo + _FILL_CHUNK, half + 1)
-        mirror = slice(p - hi + 1, p - lo + 1)
-        near = classes[lo:hi]  # residues a = lo .. hi-1
-        far = classes[mirror][::-1]  # residues p - a, in the same order
-        ones = _as_int(unit * (hi - lo))
-        if _set_lanes(_as_int(near) | _as_int(far), ones, bits) != ones:
+    unset = 0
+    for x0, x1, ones in _chunks(p, bits):
+        chunk = classes[x0:x1]
+        merged = _as_int(chunk) | relabel(_image(classes, p, m, x0, x1), ones)
+        unset += x1 - x0 - _set_lanes(merged, ones, bits).bit_count()
+        classes[x0:x1] = _typed(merged, chunk)
+    return unset
+
+
+def _fill_stragglers(
+    classes: bytearray | array, p: int, omega: int, d: int
+) -> None:
+    """Label each unset a from the first labelled a*omega^k, and the run between."""
+    bits = _lane_bits(classes)
+    width = bits // 8
+    for x0, x1, ones in _chunks(p, bits):
+        unset = ones ^ _set_lanes(_as_int(classes[x0:x1]), ones, bits)
+        # the lanes in memory order, one nonzero byte in each unset lane
+        flags = unset.to_bytes((x1 - x0) * width, sys.byteorder)
+        i = flags.find(1)
+        while i >= 0:
+            a = x0 + i // width
+            if not classes[a]:
+                k = 1
+                y = a * omega % p
+                while not classes[y]:
+                    k += 1
+                    y = y * omega % p
+                label = (classes[y] - 1 - k) % d + 1
+                for _ in range(k):
+                    classes[a] = label
+                    label = label % d + 1
+                    a = a * omega % p
+            i = flags.find(1, i + 1)
+
+
+def _check_classes(classes: bytearray | array, p: int, omega: int, d: int) -> None:
+    """Relabel labels to classes (label - 1) in place, then prove them right.
+
+    The proof needs class(1) = 0 and class(omega * a) = class(a) + 1 mod d
+    for every a, compared a chunk of targets omega * a at a time with
+    _image.  As omega generates the units, that forces class(omega^k) =
+    k mod d for every k: one wrong class anywhere raises SanityFailure.  The
+    array checked is the one returned, so a label the fill got wrong or
+    left unset cannot pass.
+    """
+    bits = _lane_bits(classes)
+    if bits == 8:
+        to_class = bytes([0, *range(d)]).ljust(256, b"\0")
+        successor = bytes([*range(1, d), 0]).ljust(256, b"\0")
+        for x0, x1, _ in _chunks(p, bits):
+            classes[x0:x1] = classes[x0:x1].translate(to_class)
+
+        def step(lanes, ones):
+            return lanes.translate(successor)
+    else:
+        for x0, x1, ones in _chunks(p, bits):
+            chunk = classes[x0:x1]
+            x = _as_int(chunk)
+            classes[x0:x1] = _typed(x - _set_lanes(x, ones, bits), chunk)
+
+        def step(lanes, ones):
+            x = _lane_add(_as_int(lanes), ones, ones, bits, 1, d, d - 1)
+            return x.to_bytes(len(lanes), sys.byteorder)
+
+    if classes[1] != 0:
+        raise SanityFailure(f"omega={omega}: 1 is not in class 0 mod {p}")
+    for x0, x1, ones in _chunks(p, bits):
+        if step(_image(classes, p, omega, x0, x1), ones) != bytes(classes[x0:x1]):
             raise SanityFailure(
-                f"omega={omega}: the walk missed both a and {p} - a "
-                f"for some {lo} <= a < {hi}"
+                f"omega={omega}: class(omega * a) is not class(a) + 1 "
+                f"for some omega * a in [{x0}, {x1}) mod {p}"
             )
-        near_walked, near_mirrored = relabel(near, ones)
-        far_walked, far_mirrored = relabel(far, ones)
-        classes[lo:hi] = _typed(near_walked | far_mirrored, near)
-        classes[mirror] = _typed(far_walked | near_mirrored, near)[::-1]
-    return classes
 
 
 def _as_int(lanes) -> int:
@@ -295,19 +479,15 @@ def _set_lanes(x: int, ones: int, bits: int) -> int:
     return ((((x & low) + low) | x) >> (bits - 1)) & ones
 
 
-def _lane_classes(
-    x: int, ones: int, bits: int, d: int, theta: int
-) -> tuple[int, int]:
-    """Walked and mirrored classes of walk labels packed in lanes of x.
+def _lane_add(
+    x: int, live: int, ones: int, bits: int, c: int, d: int, t: int
+) -> int:
+    """x plus c in each lane of live, less d in each lane of x at least t.
 
-    A lane holds k mod d + 1 for a walked residue or 0 for an unset one,
-    and d < 2^(bits-1).  Walked classes are label - 1, mirrored classes
-    label - 1 + theta mod d, and unset lanes give 0 in both.  The mirrored
-    class wraps where the walked one is at least d - theta; adding
-    2^(bits-1) - (d - theta) sets the top bit of exactly those lanes.
+    Every lane of x is below 2^(bits-1) and t >= 1, so adding 2^(bits-1) - t
+    sets the top bit of exactly the lanes at least t, with no carry out of
+    the lane.
     """
     top = bits - 1
-    walked_set = _set_lanes(x, ones, bits)
-    walked = x - walked_set
-    wraps = ((walked + ones * ((1 << top) - d + theta)) >> top) & ones
-    return walked, walked + theta * walked_set - d * wraps
+    wraps = ((x + ones * ((1 << top) - t)) >> top) & ones
+    return x + c * live - d * wraps

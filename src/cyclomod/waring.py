@@ -51,9 +51,16 @@ class NSequence:
     holds the dense n(k, v) = m(k, v) - f^k as exact integers, built as
     [-f^k] * d and patched on the support; first_k[v] is the least k with
     m(k, v) != 0 so far, or None.  The shift needs every table row to sum to
-    f - [v == theta], checked once (SanityFailure), and each new row must
-    have p | m(k, v), a count times p.  A context over MAX_CELLS
-    (recurrence_cells) is refused with ScaleGuard before any row is built.
+    f - [v == theta], checked once (SanityFailure).  Each new row must also
+    keep the count of all f^k ordered k-tuples: f/p * sum_v m(k, v) of them
+    sum to a unit and f/p * m(k-1, 0) to 0, so
+
+        sum_v m(k, v) + m(k-1, 0) = p * f^(k-1)
+
+    (SanityFailure otherwise).  It holds while every column l of the table
+    sums to f - [l == 0], which the row sums do not show.  A context over
+    MAX_CELLS (recurrence_cells) is refused with ScaleGuard before any row
+    is built.
     """
 
     def __init__(self, table: CyclotomyTable, k_max: int = 1):
@@ -99,13 +106,15 @@ class NSequence:
                     acc[v] = get(v, 0) + c * value
             if 0 in before:
                 acc[theta] = get(theta, 0) + f * before[0]
+            support = {v: value for v, value in acc.items() if value}
+            total = sum(support.values()) + prev.get(0, 0)
+            if total != p * self._fk[-1]:
+                raise SanityFailure(
+                    f"row {k}: the sum of m({k}, v) plus m({k - 1}, 0) is "
+                    f"{total}, not p*f^{k - 1} (p={p}, d={d})")
             fk = self._fk[-1] * f
             row = [-fk] * d
-            support = {v: value for v, value in acc.items() if value}
             for v, value in support.items():
-                if value % p:
-                    raise SanityFailure(
-                        f"p={p} does not divide f^{k} + n({k},{v}) = {value}")
                 row[v] = value - fk
                 if first[v] is None:
                     first[v] = k

@@ -1,4 +1,5 @@
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -68,8 +69,8 @@ def test_make_context_refuses_a_non_generator(monkeypatch):
     [
         (13, 4, r"omega\^6 is not -1"),  # a square: order (p-1)/2
         (7, 2, r"omega\^3 is not -1"),  # order (p-1)/2, and -1 is not a square
-        (13, 5, "missed both a and 13 - a"),  # order (p-1)/3, 5^6 = -1
-        (1543, 125, "missed both a and 1543 - a"),  # 5^3, two-byte lanes
+        (13, 5, "does not have order"),  # order (p-1)/3, 5^6 = -1
+        (1543, 125, "does not have order"),  # 5^3, two-byte lanes
     ],
 )
 def test_power_classes_refuse_a_non_generator(p, omega, message):
@@ -255,3 +256,101 @@ def test_half_walk_and_lane_tally_match_the_oracles():
             assert compute_table(ctx).row_supports == counter_row_supports(ctx), d
 
     check()
+
+
+def _count_fill_stages(monkeypatch) -> Counter:
+    """Count multiplier passes (by sign of m) and straggler fills."""
+    ran: Counter = Counter()
+    fill_pass, fill_stragglers = ffield._fill_pass, ffield._fill_stragglers
+
+    def counted_pass(classes, p, m, c, d):
+        ran["mirror" if m == -1 else "multiplier"] += 1
+        return fill_pass(classes, p, m, c, d)
+
+    def counted_stragglers(*args):
+        ran["stragglers"] += 1
+        fill_stragglers(*args)
+
+    monkeypatch.setattr(ffield, "_fill_pass", counted_pass)
+    monkeypatch.setattr(ffield, "_fill_stragglers", counted_stragglers)
+    return ran
+
+
+def test_multiplier_passes_match_the_walk(monkeypatch):
+    # a short walk and a high straggler threshold, so that small p take
+    # every stage of the fill
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ran = _count_fill_stages(monkeypatch)
+
+    @hypothesis.settings(max_examples=12, deadline=None)
+    @hypothesis.given(
+        st.sampled_from(primes_in_range(3, 3000)),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=8),
+    )
+    @hypothesis.example(3, 1, 8)
+    @hypothesis.example(109, 8, 8)  # the pass by 3 stalls: stragglers finish
+    @hypothesis.example(1021, 8, 8)  # d = 255: last byte classes
+    @hypothesis.example(1543, 4, 3)  # d = 257 on two-byte lanes
+    @hypothesis.example(2999, 16, 2)
+    def check(p, seed, few_shift):
+        monkeypatch.setattr(ffield, "_SEED_POWERS", seed)
+        monkeypatch.setattr(ffield, "_FEW_SHIFT", few_shift)
+        omega = smallest_primitive_root(p)
+        for d in admissible_orders(p):
+            classes = ffield._power_classes(p, omega, d)
+            assert list(classes) == walk_classes(p, omega, d), (d, seed)
+
+    check()
+    assert ran["mirror"] and ran["multiplier"] and ran["stragglers"], ran
+
+
+@pytest.mark.parametrize(
+    "p,d,typecode",
+    [
+        (65537, 16384, "H"),
+        (65537, 32768, "I"),
+        (65537, 65536, "I"),
+        (1543, 257, "H"),  # two-byte lanes
+    ],
+)
+def test_multiplier_passes_on_wide_lanes(monkeypatch, p, d, typecode):
+    ran = _count_fill_stages(monkeypatch)
+    monkeypatch.setattr(ffield, "_SEED_POWERS", 64)
+    omega = smallest_primitive_root(p)
+    classes = ffield._power_classes(p, omega, d)
+    assert classes.typecode == typecode
+    assert list(classes) == walk_classes(p, omega, d)
+    assert ran["multiplier"], ran
+
+
+def test_power_classes_at_a_million():
+    # the walk covers about an eighth of the residues; passes do the rest
+    ctx = make_context(1000003, 6)
+    assert list(ctx.index_table) == walk_classes(1000003, ctx.omega, 6)
+
+
+@pytest.mark.parametrize("p,d", [(13, 4), (1009, 252), (1009, 336), (65537, 65536)])
+def test_one_wrong_label_fails_the_check(p, d):
+    omega = smallest_primitive_root(p)
+    truth = walk_classes(p, omega, d)
+    labels = [0] + [c + 1 for c in truth[1:]]
+
+    def lanes(values):
+        if d < 256:
+            return bytearray(values)
+        return array("H" if d < 1 << 15 else "I", values)
+
+    classes = lanes(labels)
+    ffield._check_classes(classes, p, omega, d)
+    assert list(classes) == truth
+    for a in {1, 2, omega, p // 2, p - 2, p - 1}:
+        wrong = labels.copy()
+        wrong[a] = wrong[a] % d + 1
+        with pytest.raises(SanityFailure, match="omega="):
+            ffield._check_classes(lanes(wrong), p, omega, d)
+    # every class one up still steps by one under omega: only class(1) shows it
+    shifted = [0] + [label % d + 1 for label in labels[1:]]
+    with pytest.raises(SanityFailure, match="1 is not in class 0"):
+        ffield._check_classes(lanes(shifted), p, omega, d)

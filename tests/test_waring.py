@@ -63,6 +63,26 @@ def test_wrong_row_sum_refused_at_construction():
         NSequence(wrong, 1)
 
 
+def test_row_swap_breaks_the_tuple_count():
+    # swapping two unequal entries of one row keeps every row sum, so the
+    # table passes construction; the moved column sums show by row 2d
+    swaps = 0
+    for p, d in [(7, 3), (13, 4), (13, 3), (31, 5), (37, 6), (41, 8)]:
+        table = compute_table(make_context(p, d))
+        for v, row in enumerate(table.counts):
+            for i in range(d):
+                for j in range(i + 1, d):
+                    if row[i] == row[j]:
+                        continue
+                    swapped = [list(r) for r in table.counts]
+                    swapped[v][i], swapped[v][j] = row[j], row[i]
+                    seq = NSequence(table_from_counts(table.ctx, swapped), 1)
+                    with pytest.raises(SanityFailure, match="not p\\*f\\^"):
+                        seq.extend(2 * d)
+                    swaps += 1
+    assert swaps == 272
+
+
 def test_bound_exceeded_on_doctored_table():
     # row sums are right, but class 1 never feeds class theta = 0
     table = compute_table(make_context(7, 3))
@@ -75,11 +95,12 @@ def test_bound_exceeded_on_doctored_table():
 
 
 def test_cancelled_entries_leave_the_support():
-    # doctored (5, 4) rows with a negative count: m(3, 3) = 5 - 5 cancels,
-    # and an exact zero must not count as class 3 entering the support
+    # doctored (5, 4) rows with negative counts, and with the row and column
+    # sums of a real table: m(3, 3) = -5 + 5 cancels, and an exact zero must
+    # not count as class 3 entering the support
     table = compute_table(make_context(5, 4))
     doctored = table_from_counts(
-        table.ctx, ((0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 0), (1, -1, 0, 1))
+        table.ctx, ((0, 0, 1, 0), (0, 0, 1, 0), (1, 0, -1, 0), (-1, 1, 0, 1))
     )
     seq = NSequence(doctored, 4)
     assert seq.first_k == [2, 2, 1, None]
