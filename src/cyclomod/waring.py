@@ -15,13 +15,15 @@ Row v of the table sums to f - [v == theta], so the constant f^k solves the
 same recurrence, and so does the shift m(k, v) = f^k + n(k, v) = p * N(k, a),
 from m(0, v) = 0 and m(1, v) = p*[v == theta].  m(k, .) is zero on every
 class k powers cannot reach yet (one entry per row at f = 1), so NSequence
-propagates m on its support and records, in the same pass, the first k at
-which each class enters it: the answer s_by_recurrence reads.
+stores only the support of each m(k, .), propagates it, and records in the
+same pass the first k at which each class enters it: the answer
+s_by_recurrence reads.
 
 A second, independent route reads the same answer off the digraph on
 classes with an edge i -> j wherever (i, j) != 0: the minimal length is one
-more than the shortest walk from alpha + theta to theta.  solve() runs both
-and refuses to return if they ever disagree.
+more than the shortest walk from alpha + theta to theta.  solve() grows the
+rows once, until every class has entered the support, builds both routes'
+answers for every class, and refuses to return if they ever disagree.
 """
 
 from __future__ import annotations
@@ -46,14 +48,15 @@ log = logging.getLogger(__name__)
 class NSequence:
     """Rows n(k, 0..d-1) of the class-coupled recurrence, exact and growable.
 
-    Each nonzero m(k, l) (module docstring) is pushed along column l of the
-    table, f * m(k-1, 0) is added at theta, and zeros are dropped.  _rows
-    holds the dense n(k, v) = m(k, v) - f^k as exact integers, built as
-    [-f^k] * d and patched on the support; first_k[v] is the least k with
-    m(k, v) != 0 so far, or None.  The shift needs every table row to sum to
-    f - [v == theta], checked once (SanityFailure).  Each new row must also
-    keep the count of all f^k ordered k-tuples: f/p * sum_v m(k, v) of them
-    sum to a unit and f/p * m(k-1, 0) to 0, so
+    Only the sparse shifted rows m(k, .) (module docstring) are stored, one
+    dict of the nonzero entries per k, with f^k alongside; n(k, v) is read
+    as m(k, v) - f^k.  Each nonzero m(k, l) is pushed along column l of the
+    table, f * m(k-1, 0) is added at theta, and exact zeros are dropped.
+    first_k[v] is the least k with m(k, v) != 0 so far, or None.  The shift
+    needs every table row to sum to f - [v == theta], checked once
+    (SanityFailure).  Each new row must also keep the count of all f^k
+    ordered k-tuples: f/p * sum_v m(k, v) of them sum to a unit and
+    f/p * m(k-1, 0) to 0, so
 
         sum_v m(k, v) + m(k-1, 0) = p * f^(k-1)
 
@@ -77,11 +80,11 @@ class NSequence:
                                     f"not {f - (v == theta)} (p={p}, d={d})")
             for l, c in support:
                 self._columns[l].append((v, c))
-        self._rows = [[-1] * d, [p * (v == theta) - f for v in range(d)]]
+        self._m: list[dict[int, int]] = [{}, {theta: p}]  # m(k, .) by k
         self._fk = [1, f]  # f^k alongside each row
-        self._m = ({}, {theta: p})  # the sparse rows m(k-1, .) and m(k, .)
         self.first_k: list[int | None] = [None] * d
         self.first_k[theta] = 1
+        self._unset = d - 1  # classes whose first_k is still None
         self.extend(k_max)
 
     @property
@@ -90,15 +93,34 @@ class NSequence:
 
     @property
     def k_max(self) -> int:
-        return len(self._rows) - 1
+        return len(self._m) - 1
 
-    def extend(self, k_max: int) -> None:
-        """Grow the table of rows up to index k_max (no-op if already there)."""
-        columns, first = self._columns, self.first_k
-        p, d, f, theta = self._p, self._d, self._f, self._theta
-        before, prev = self._m
-        while len(self._rows) <= k_max:
-            k = len(self._rows)
+    @property
+    def _rows(self) -> list[list[int]]:
+        """Every dense row n(k, 0..d-1), derived on each read.
+
+        Nothing in the package reads it: bench/spans.py does, to see the
+        integer sizes of a traced run without recomputing the recurrence.
+        """
+        rows = []
+        for m, fk in zip(self._m, self._fk):
+            row = [-fk] * self._d
+            for v, value in m.items():
+                row[v] = value - fk
+            rows.append(row)
+        return rows
+
+    def extend(self, k_max: int, *, until_covered: bool = False) -> None:
+        """Grow the rows up to index k_max (no-op if already there).
+
+        With until_covered, stop as soon as every class has entered the
+        support, so first_k is complete without computing a row past it.
+        """
+        columns, first, rows, fks = self._columns, self.first_k, self._m, self._fk
+        p, f, theta = self._p, self._f, self._theta
+        while len(rows) <= k_max and (self._unset or not until_covered):
+            k = len(rows)
+            before, prev = rows[-2], rows[-1]
             acc: dict[int, int] = {}
             get = acc.get
             for l, value in prev.items():
@@ -106,29 +128,37 @@ class NSequence:
                     acc[v] = get(v, 0) + c * value
             if 0 in before:
                 acc[theta] = get(theta, 0) + f * before[0]
-            support = {v: value for v, value in acc.items() if value}
+            # counts are nonnegative, so only a doctored table cancels an entry
+            support = acc
+            if 0 in acc.values():
+                support = {v: value for v, value in acc.items() if value}
             total = sum(support.values()) + prev.get(0, 0)
-            if total != p * self._fk[-1]:
+            if total != p * fks[-1]:
                 raise SanityFailure(
                     f"row {k}: the sum of m({k}, v) plus m({k - 1}, 0) is "
-                    f"{total}, not p*f^{k - 1} (p={p}, d={d})")
-            fk = self._fk[-1] * f
-            row = [-fk] * d
-            for v, value in support.items():
-                row[v] = value - fk
-                if first[v] is None:
-                    first[v] = k
-            self._rows.append(row)
-            self._fk.append(fk)
-            before, prev = prev, support
-        self._m = (before, prev)
+                    f"{total}, not p*f^{k - 1} (p={p}, d={self._d})")
+            if self._unset:
+                for v in support:
+                    if first[v] is None:
+                        first[v] = k
+                        self._unset -= 1
+            rows.append(support)
+            fks.append(fks[-1] * f)
+
+    def support(self, k: int) -> dict[int, int]:
+        """The nonzero m(k, v) = f^k + n(k, v) by class v, as a new dict."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        if k > self.k_max:
+            self.extend(k)
+        return dict(self._m[k])
 
     def n(self, k: int, v: int) -> int:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if k > self.k_max:
             self.extend(k)
-        return self._rows[k][v % self._d]
+        return self._m[k].get(v % self._d, 0) - self._fk[k]
 
     def f_power(self, k: int) -> int:
         if k > self.k_max:
@@ -143,11 +173,13 @@ class NSequence:
 def recurrence_cells(p: int, d: int) -> int:
     """The recurrence's worst case for order d mod p, in cells.
 
-    s_by_recurrence may need every row up to k = d.  Memory: d stored rows
-    of d values, each up to d*log2(f) bits since values grow like f^k, priced
-    in 64-bit words.  Work: one multiply-add per row and nonzero table entry,
-    of which there are at most min(d*d, p-2), priced one cell each; rows are
-    propagated on their support only, so this term is an upper bound.
+    s_by_recurrence may need every row up to k = d.  Memory: d stored rows,
+    each the support of m(k, .) and so at most d values, each up to
+    d*log2(f) bits since values grow like f^k, priced in 64-bit words.
+    Work: one multiply-add per row and nonzero table entry, of which there
+    are at most min(d*d, p-2), priced one cell each.  Both terms are upper
+    bounds, since rows are stored and propagated on their support only (one
+    value per row at f = 1).
     """
     f = (p - 1) // d
     words = 1 + d * (f.bit_length() - 1) // 64
@@ -197,9 +229,10 @@ def s_by_recurrence(seq: NSequence, alpha: int) -> int:
     """Minimal length for class alpha via the exact integer recurrence.
 
     Class 0 is the d-th powers themselves, so the answer there is 1.  Any
-    other class is read off seq.first_k, extending the rows while it is
-    unset, up to k = d; the cap holding is a theorem for every reachable
-    class, so running past it raises instead of looping.
+    other class is read off seq.first_k; while it is unset, the rows are
+    grown in one call until every class is set or k = d.  The cap holding
+    is a theorem for every reachable class, so running past it raises
+    instead of looping.
     """
     ctx = seq.ctx
     d = ctx.d
@@ -208,8 +241,8 @@ def s_by_recurrence(seq: NSequence, alpha: int) -> int:
         return 1
     v = (alpha + ctx.theta) % d
     first = seq.first_k
-    while first[v] is None and seq.k_max < d:
-        seq.extend(seq.k_max + 1)
+    if first[v] is None:
+        seq.extend(d, until_covered=True)
     if first[v] is None or first[v] > d:
         raise BoundExceeded(
             f"no representation length <= d={d} found for class {alpha} (p={ctx.p})"
@@ -264,32 +297,45 @@ class WaringSolution:
 
 
 def solve(ctx: FieldContext) -> WaringSolution:
-    """Solve all classes, cross-checking the two exact solvers per class.
+    """Solve all classes, comparing the two exact solvers' answer vectors.
 
-    Any disagreement raises InternalDisagreement carrying both values; that
-    is the headline correctness contract, not a recoverable condition.  The
-    guarded failure modes (recurrence cap, unreachable class) fall back to
-    the brute-force oracle and are logged; they are not expected to occur.
-    A context the recurrence could not handle is refused before its table
-    is counted.
+    The recurrence grows once, until every class has entered the support or
+    k = d, and one breadth-first search gives every walk length; the two
+    vectors are then compared class by class.  The first class on which
+    they differ raises InternalDisagreement carrying both values; that is
+    the headline correctness contract, not a recoverable condition.  A class
+    either route leaves unanswered (recurrence cap, unreachable class) falls
+    back to the brute-force oracle and is logged; neither is expected to
+    occur.  A context the recurrence could not handle is refused before its
+    table is counted.
     """
     require_recurrence_fits(ctx.p, ctx.d)
     table = compute_table(ctx)
     seq = n_sequence(table, 1)
+    p, d, theta = ctx.p, ctx.d, ctx.theta
+    seq.extend(d, until_covered=True)
+    # both routes read class alpha at alpha + theta
+    first, walks = seq.first_k, table.walk_lengths_to_theta
+    by_recurrence = first[theta:] + first[:theta]
+    by_walks = [None if w is None else w + 1 for w in walks[theta:] + walks[:theta]]
     per_class = []
     fallback = False
-    for alpha in range(ctx.d):
+    for alpha, (rec, walk) in enumerate(zip(by_recurrence, by_walks)):
+        if rec == walk and rec is not None:
+            per_class.append(rec)
+            continue
         values: dict[str, int] = {}
-        try:
-            values["recurrence"] = s_by_recurrence(seq, alpha)
-        except BoundExceeded as exc:
-            log.warning("recurrence cap hit for (p=%s, d=%s, alpha=%s): %s",
-                        ctx.p, ctx.d, alpha, exc)
-        try:
-            values["reachability"] = s_by_reachability(table, alpha)
-        except Unreachable as exc:
-            log.warning("unreachable class for (p=%s, d=%s, alpha=%s): %s",
-                        ctx.p, ctx.d, alpha, exc)
+        if rec is None:
+            log.warning("recurrence cap hit for (p=%s, d=%s, alpha=%s): "
+                        "no representation length <= d=%s found", p, d, alpha, d)
+        else:
+            values["recurrence"] = rec
+        if walk is None:
+            log.warning("unreachable class for (p=%s, d=%s, alpha=%s): class %s "
+                        "not reachable from class %s", p, d, alpha, theta,
+                        (alpha + theta) % d)
+        else:
+            values["reachability"] = walk
         if len(values) < 2:
             fallback = True
             values["oracle"] = oracle.brute_s(ctx, ctx.element_of_class(alpha))

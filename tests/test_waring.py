@@ -12,7 +12,7 @@ from cyclomod import (
     s_by_recurrence,
     solve,
 )
-from cyclomod.cyclotomy import MAX_CELLS
+from cyclomod.cyclotomy import MAX_CELLS, CyclotomyTable
 from cyclomod.errors import (
     BoundExceeded, InternalDisagreement, SanityFailure, ScaleGuard, Unreachable,
 )
@@ -22,6 +22,12 @@ from cyclomod.waring import NSequence, recurrence_cells
 from conftest import (
     count_matrix_powers, dense_rows, s_by_matrix_powers, table_from_counts,
 )
+
+
+def n_rows(seq):
+    """Every n(k, v) the sequence holds, as dense rows by k."""
+    d = seq.ctx.d
+    return [[seq.n(k, v) for v in range(d)] for k in range(seq.k_max + 1)]
 
 
 def test_base_values_p7_d3():
@@ -104,7 +110,7 @@ def test_cancelled_entries_leave_the_support():
     )
     seq = NSequence(doctored, 4)
     assert seq.first_k == [2, 2, 1, None]
-    assert seq._rows == dense_rows(doctored, 4)
+    assert n_rows(seq) == dense_rows(doctored, 4)
 
 
 def test_sparse_rows_match_dense_oracle_property():
@@ -126,12 +132,16 @@ def test_sparse_rows_match_dense_oracle_property():
         ctx = make_context(p, d)
         table = compute_table(ctx)
         seq = n_sequence(table, d)
-        assert seq._rows == dense_rows(table, d)
+        assert n_rows(seq) == dense_rows(table, d)
         for v in range(d):
             scan = next(
-                (k for k in range(1, d + 1) if ctx.f**k + seq._rows[k][v]), None
+                (k for k in range(1, d + 1) if ctx.f**k + seq.n(k, v)), None
             )
             assert seq.first_k[v] == scan, (p, d, v)
+        # solve grows no row past the last class to enter the support
+        solution = solve(ctx)
+        assert solution.seq.k_max == solution.g
+        assert solution.seq.first_k == seq.first_k
 
     check()
 
@@ -285,13 +295,65 @@ def test_solve_per_class_bounds():
 
 
 def test_solve_raises_on_forced_disagreement(monkeypatch):
+    # walks of 98 steps from every class but theta itself: class 0 still
+    # agrees, class 1 is the first to differ
+    monkeypatch.setattr(
+        CyclotomyTable,
+        "walk_lengths_to_theta",
+        property(lambda table: tuple(0 if v == table.ctx.theta else 98
+                                     for v in range(table.ctx.d))),
+    )
+    with pytest.raises(InternalDisagreement) as info:
+        solve(make_context(7, 3))
+    assert info.value.alpha == 1
+    assert info.value.values == {"recurrence": 3, "reachability": 99}
+
+
+def test_solve_falls_back_to_the_oracle_on_unanswered_classes(monkeypatch, caplog):
+    # classes 1 and 2 of this doctored (7, 3) table never feed theta = 0,
+    # so neither route answers them and brute force does, with a warning each
     import cyclomod.waring as waring_module
 
-    monkeypatch.setattr(
-        waring_module, "s_by_reachability", lambda table, alpha: 99
-    )
-    with pytest.raises(InternalDisagreement):
-        waring_module.solve(make_context(7, 3))
+    ctx = make_context(7, 3)
+    doctored = table_from_counts(ctx, ((1, 0, 0), (0, 2, 0), (0, 0, 2)))
+    monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
+    with caplog.at_level("WARNING", logger="cyclomod.waring"):
+        solution = waring_module.solve(ctx)
+    assert solution.per_class_s == (1, 3, 2)
+    assert solution.method == "oracle"
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("recurrence cap hit" in m for m in messages) == 2
+    assert sum("unreachable class" in m for m in messages) == 2
+
+
+def test_solve_grows_the_rows_in_one_call_that_checks_column_sums(monkeypatch):
+    # swapping (1, 0) and (1, 1) of the (7, 3) table keeps every row sum and
+    # moves column theta = 0's, which row 2 of the single growth call shows
+    import cyclomod.waring as waring_module
+
+    ctx = make_context(7, 3)
+    swapped = table_from_counts(ctx, ((0, 0, 1), (1, 0, 1), (1, 1, 0)))
+    calls = []
+    extend = NSequence.extend
+
+    def counted(seq, *args, **kwargs):
+        calls.append(args)
+        return extend(seq, *args, **kwargs)
+
+    monkeypatch.setattr(NSequence, "extend", counted)
+    monkeypatch.setattr(waring_module, "compute_table", lambda ctx: swapped)
+    with pytest.raises(SanityFailure, match="row 2: .* not p\\*f\\^1"):
+        waring_module.solve(ctx)
+    assert calls == [(1,), (3,)]  # construction, then the one growth call
+
+
+def test_f_equal_1_stores_at_most_one_entry_per_row():
+    # 1 is the only power, so k powers reach the single residue k: the
+    # stored rows hold O(d) entries in all, not O(d^2)
+    solution = solve(make_context(3001, 3000))
+    seq = solution.seq
+    assert seq.k_max == solution.g == 3000
+    assert all(len(seq.support(k)) == (k > 0) for k in range(seq.k_max + 1))
 
 
 def test_three_way_equivalence_small():
