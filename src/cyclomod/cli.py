@@ -132,7 +132,7 @@ def cmd_cyclo(args) -> int:
 def cmd_period(args) -> int:
     ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
     table = cyclotomy.compute_table(ctx)
-    seq = waring.n_sequence(table, max(ctx.d - 1, 1))
+    seq = waring.NSequence(table, max(ctx.d - 1, 1))
     poly = periods.period_polynomial(seq)
     _print_json(
         {
@@ -151,7 +151,7 @@ def cmd_series(args) -> int:
     ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
     order = args.series_order if args.series_order is not None else ctx.d + 2
     table = cyclotomy.compute_table(ctx)
-    seq = waring.n_sequence(table, 1)
+    seq = waring.NSequence(table)
     result = series.i_series(seq, args.class_index, order)
     _print_json(
         {
@@ -195,7 +195,10 @@ def cmd_closed(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ctx = make_context(args.prime, args.order, max_p=args.max_p)
+    ctx = make_context(
+        args.prime, args.order, max_p=args.max_p,
+        guard=lambda p, d: oracle.require_counts_fit(p, args.k_max),
+    )
     counts = oracle.dp_counts(ctx, args.k_max)
     print("k," + ",".join(str(a) for a in range(ctx.p)))
     for k in range(1, counts.k_max + 1):

@@ -57,14 +57,6 @@ class SanityFailure(CyclomodError):
     """A mathematical invariant failed; this signals a bug, not bad input."""
 
 
-class BoundExceeded(CyclomodError):
-    """No representation length k <= d was found by the exact recurrence."""
-
-
-class Unreachable(CyclomodError):
-    """The target class cannot be reached in the nonzero-count digraph."""
-
-
 class InternalDisagreement(CyclomodError):
     """Two independent solvers returned different values for the same class."""
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 
 #: Default cap on p.  The power-class array takes one byte per residue for
-#: d <= 256 (4 MiB at the cap) and the table pass is O(p); raise the cap
+#: d <= 255 (4 MiB at the cap) and the table pass is O(p); raise the cap
 #: explicitly (max_p argument or CYCLOMOD_MAX_P) when you mean it.
 DEFAULT_MAX_P = 1 << 22
 

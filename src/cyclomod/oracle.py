@@ -57,15 +57,20 @@ def power_set(ctx: FieldContext) -> frozenset[int]:
     return frozenset(out)
 
 
-def dp_counts(ctx: FieldContext, k_max: int) -> CountTable:
-    """Exact counts by repeated cyclic convolution with the power indicator."""
-    p = ctx.p
+def require_counts_fit(p: int, k_max: int) -> None:
+    """Refuse dp_counts arguments over the caps, needing p and k_max alone."""
     if p > ORACLE_MAX_P:
         raise ScaleGuard(f"oracle counts capped at p <= {ORACLE_MAX_P}, got {p}")
     if k_max > ORACLE_MAX_K:
         raise ScaleGuard(f"oracle counts capped at k <= {ORACLE_MAX_K}, got {k_max}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+
+
+def dp_counts(ctx: FieldContext, k_max: int) -> CountTable:
+    """Exact counts by repeated cyclic convolution with the power indicator."""
+    p = ctx.p
+    require_counts_fit(p, k_max)
 
     base = sorted(power_set(ctx))
     row = [0] * p

@@ -154,11 +154,10 @@ def _difference_terms(seq: NSequence, j: int, order: int):
 def log_derivative_ord(seq: NSequence, j: int) -> int:
     """Valuation of the difference series: the series route to the answer.
 
-    Truncation starts at d + 2 (enough for every reachable class, where
-    the answer is at most d) and extends once to 2d before giving up; an
-    all-zero series at that point is handed back to the caller to route to
-    the brute-force oracle.  Coefficients are produced lazily, so the scan
-    stops as soon as the first nonzero one appears.  That leading
+    One lazy scan runs to order max(d + 2, 2d) (past d, the most any
+    reachable class needs) and stops at the first nonzero coefficient; an
+    all-zero series at that order raises AllZeroToOrder, for the caller to
+    route to the brute-force oracle.  That leading
     coefficient E_v = v! * p * N(v, a) must be a positive multiple of
     v! * p; anything else raises SanityFailure.
     """

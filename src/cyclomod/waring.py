@@ -16,8 +16,8 @@ same recurrence, and so does the shift m(k, v) = f^k + n(k, v) = p * N(k, a),
 from m(0, v) = 0 and m(1, v) = p*[v == theta].  m(k, .) is zero on every
 class k powers cannot reach yet (one entry per row at f = 1), so NSequence
 stores only the support of each m(k, .), propagates it, and records in the
-same pass the first k at which each class enters it: the answer
-s_by_recurrence reads.
+same pass the first k at which each class enters it: the first route's
+answer for class alpha is first_k[alpha + theta].
 
 A second, independent route reads the same answer off the digraph on
 classes with an edge i -> j wherever (i, j) != 0: the minimal length is one
@@ -33,13 +33,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table
-from .errors import (
-    BoundExceeded,
-    InternalDisagreement,
-    SanityFailure,
-    ScaleGuard,
-    Unreachable,
-)
+from .errors import InternalDisagreement, SanityFailure, ScaleGuard
 from .ffield import FieldContext, make_context
 
 log = logging.getLogger(__name__)
@@ -173,9 +167,9 @@ class NSequence:
 def recurrence_cells(p: int, d: int) -> int:
     """The recurrence's worst case for order d mod p, in cells.
 
-    s_by_recurrence may need every row up to k = d.  Memory: d stored rows,
-    each the support of m(k, .) and so at most d values, each up to
-    d*log2(f) bits since values grow like f^k, priced in 64-bit words.
+    solve may grow every row up to k = d.  Memory: d stored rows, each the
+    support of m(k, .) and so at most d values, each up to d*log2(f) bits
+    since values grow like f^k, priced in 64-bit words.
     Work: one multiply-add per row and nonzero table entry, of which there
     are at most min(d*d, p-2), priced one cell each.  Both terms are upper
     bounds, since rows are stored and propagated on their support only (one
@@ -200,79 +194,6 @@ def require_recurrence_fits(p: int, d: int) -> None:
 def solver_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
     """make_context, refusing an oversized recurrence before the O(p) field."""
     return make_context(p, d, max_p=max_p, guard=require_recurrence_fits)
-
-
-def n_sequence(table: CyclotomyTable, k_max: int) -> NSequence:
-    """All rows n(0..k_max, v) for the given table, exactly."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return NSequence(table, k_max)
-
-
-def count_representations(seq: NSequence, a: int, k: int) -> int:
-    """N(k, a): ordered k-tuples of nonzero d-th powers summing to a.
-
-    Computed as (f^k + n(k, v)) / p with v the class of -a; the division is
-    exact by construction and asserted anyway.
-    """
-    ctx = seq.ctx
-    alpha = ctx.class_of(a)  # raises ZeroArgument on a = 0
-    v = (alpha + ctx.theta) % ctx.d
-    num = seq.f_power(k) + seq.n(k, v)
-    quot, rem = divmod(num, ctx.p)
-    if rem:
-        raise SanityFailure(f"count for (k={k}, a={a}) is not integral")
-    return quot
-
-
-def s_by_recurrence(seq: NSequence, alpha: int) -> int:
-    """Minimal length for class alpha via the exact integer recurrence.
-
-    Class 0 is the d-th powers themselves, so the answer there is 1.  Any
-    other class is read off seq.first_k; while it is unset, the rows are
-    grown in one call until every class is set or k = d.  The cap holding
-    is a theorem for every reachable class, so running past it raises
-    instead of looping.
-    """
-    ctx = seq.ctx
-    d = ctx.d
-    alpha %= d
-    if alpha == 0:
-        return 1
-    v = (alpha + ctx.theta) % d
-    first = seq.first_k
-    if first[v] is None:
-        seq.extend(d, until_covered=True)
-    if first[v] is None or first[v] > d:
-        raise BoundExceeded(
-            f"no representation length <= d={d} found for class {alpha} (p={ctx.p})"
-        )
-    return first[v]
-
-
-def s_by_reachability(table: CyclotomyTable, alpha: int) -> int:
-    """Minimal length for class alpha via shortest walks on the class digraph.
-
-    Edge i -> j exists iff the cyclotomic number (i, j) is nonzero.  A walk
-    of length s - 1 from alpha + theta to theta is exactly a nonvanishing
-    product of s - 1 consecutive cyclotomic numbers, which is the condition
-    for length s to be achievable once all shorter lengths fail.  Shortest
-    walk lengths come from one breadth-first search per table (cached on
-    it); the literal boolean matrix-power formulation is kept in the tests
-    as an equivalence check.
-    """
-    ctx = table.ctx
-    d = ctx.d
-    alpha %= d
-    if alpha == 0:
-        return 1
-    src = (alpha + ctx.theta) % d
-    walk = table.walk_lengths_to_theta[src]
-    if walk is None:
-        raise Unreachable(
-            f"class {ctx.theta} not reachable from class {src} (p={ctx.p}, d={d})"
-        )
-    return walk + 1
 
 
 @dataclass(frozen=True)
@@ -311,7 +232,7 @@ def solve(ctx: FieldContext) -> WaringSolution:
     """
     require_recurrence_fits(ctx.p, ctx.d)
     table = compute_table(ctx)
-    seq = n_sequence(table, 1)
+    seq = NSequence(table)
     p, d, theta = ctx.p, ctx.d, ctx.theta
     seq.extend(d, until_covered=True)
     # both routes read class alpha at alpha + theta

@@ -17,23 +17,20 @@ from cyclomod import (
     brute_s,
     closed_g,
     compute_table,
-    count_representations,
     diophantine_witness,
     dp_counts,
     i_series,
     log_derivative_ord,
     make_context,
-    n_sequence,
     period_polynomial,
     primes_in_range,
     represent,
     resolve_sign,
-    s_by_reachability,
-    s_by_recurrence,
     solve,
 )
 from cyclomod.closedform import KIND_D3, KIND_D4
 from cyclomod.sweep import admissible_orders, run_sweep
+from cyclomod.waring import NSequence
 
 from conftest import factorial_denominator_violations, reciprocal_check
 
@@ -86,10 +83,13 @@ def test_three_way_solver_equivalence():
         for d in admissible_orders(p):
             ctx = make_context(p, d)
             table = compute_table(ctx)
-            seq = n_sequence(table, 1)
+            seq = NSequence(table)
+            seq.extend(d, until_covered=True)
+            walks = table.walk_lengths_to_theta
             for alpha in range(d):
-                s1 = s_by_recurrence(seq, alpha)
-                s2 = s_by_reachability(table, alpha)
+                v = (alpha + ctx.theta) % d
+                s1 = seq.first_k[v]
+                s2 = None if walks[v] is None else walks[v] + 1
                 s3 = brute_s(ctx, ctx.element_of_class(alpha))
                 if not s1 == s2 == s3:
                     bad.append((p, d, alpha, s1, s2, s3))
@@ -104,7 +104,7 @@ def test_count_bridge_exact():
     for p in primes_in_range(3, 200):
         for d in admissible_orders(p):
             ctx = make_context(p, d)
-            seq = n_sequence(compute_table(ctx), 6)
+            seq = NSequence(compute_table(ctx), 6)
             counts = dp_counts(ctx, 6)
             for k in range(1, 7):
                 fk = ctx.f**k
@@ -123,7 +123,7 @@ def test_low_order_count_identities():
         for d in admissible_orders(p):
             ctx = make_context(p, d)
             table = compute_table(ctx)
-            seq = n_sequence(table, 3)
+            seq = NSequence(table, 3)
             f, theta = ctx.f, ctx.theta
             for v in range(d):
                 if seq.n(2, v) + f * f != p * table.counts[v][theta]:
@@ -146,11 +146,11 @@ def test_series_valuation_criterion():
     for p in primes_in_range(3, 100):
         for d in admissible_orders(p):
             ctx = make_context(p, d)
-            seq = n_sequence(compute_table(ctx), 1)
+            solution = solve(ctx)
             for alpha in range(1, d):
                 j = (alpha + ctx.theta) % d
-                val = log_derivative_ord(seq, j)
-                s = s_by_recurrence(seq, alpha)
+                val = log_derivative_ord(solution.seq, j)
+                s = solution.per_class_s[alpha]
                 if val != s:
                     bad.append((p, d, alpha, val, s))
     elapsed = time.perf_counter() - start
@@ -166,7 +166,7 @@ def test_class_zero_series_is_reversed_polynomial():
     for p in primes_in_range(3, 200):
         for d in admissible_orders(p):
             ctx = make_context(p, d)
-            seq = n_sequence(compute_table(ctx), 1)
+            seq = NSequence(compute_table(ctx))
             series0 = i_series(seq, 0, d + 2)
             poly = period_polynomial(seq)
             if not reciprocal_check(series0, poly):
@@ -210,13 +210,13 @@ def test_factorial_scaled_integrality():
     for p in primes_in_range(3, 60):
         for d in admissible_orders(p):
             ctx = make_context(p, d)
-            seq = n_sequence(compute_table(ctx), 1)
+            seq = NSequence(compute_table(ctx))
             for j in range(d):
                 if factorial_denominator_violations(i_series(seq, j, d + 2)):
                     bad.append((p, d, j))
     for p, d in [(97, 96), (89, 88), (101, 100), (211, 14), (499, 6)]:
         ctx = make_context(p, d)
-        seq = n_sequence(compute_table(ctx), 1)
+        seq = NSequence(compute_table(ctx))
         for j in (0, 1, d // 2):
             if factorial_denominator_violations(i_series(seq, j, d + 2)):
                 bad.append((p, d, j))

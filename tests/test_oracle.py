@@ -5,12 +5,12 @@ from cyclomod import (
     compute_table,
     dp_counts,
     make_context,
-    n_sequence,
     power_set,
     primes_in_range,
 )
 from cyclomod.errors import ScaleGuard, ZeroArgument
 from cyclomod.sweep import admissible_orders
+from cyclomod.waring import NSequence
 
 
 def test_power_set_examples():
@@ -92,7 +92,7 @@ def test_bridge_identity_to_exact_sequence():
     for p in primes_in_range(3, 40):
         for d in admissible_orders(p):
             ctx = make_context(p, d)
-            seq = n_sequence(compute_table(ctx), 6)
+            seq = NSequence(compute_table(ctx), 6)
             counts = dp_counts(ctx, 6)
             for k in range(1, 7):
                 fk = ctx.f**k

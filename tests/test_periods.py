@@ -6,20 +6,20 @@ import pytest
 from cyclomod import (
     compute_table,
     make_context,
-    n_sequence,
     period_polynomial,
     power_sums,
     primes_in_range,
 )
 from cyclomod.errors import ScaleGuard
 from cyclomod.sweep import admissible_orders
+from cyclomod.waring import NSequence
 
 from conftest import numeric_periods, numeric_tolerance
 
 
 def _seq(p, d, k=None):
     ctx = make_context(p, d)
-    return n_sequence(compute_table(ctx), k if k is not None else max(ctx.d, 2))
+    return NSequence(compute_table(ctx), k if k is not None else max(ctx.d, 2))
 
 
 def test_power_sums_examples():

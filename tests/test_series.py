@@ -18,18 +18,18 @@ from cyclomod import (
     i_series,
     log_derivative_ord,
     make_context,
-    n_sequence,
     period_polynomial,
     primes_in_range,
-    s_by_recurrence,
+    solve,
 )
 from cyclomod.errors import AllZeroToOrder, SanityFailure, ScaleGuard
 from cyclomod.series import MAX_SERIES_ORDER, RationalSeries, _difference_terms
 from cyclomod.sweep import admissible_orders
+from cyclomod.waring import NSequence
 
 
 def _seq(p, d):
-    return n_sequence(compute_table(make_context(p, d)), 1)
+    return NSequence(compute_table(make_context(p, d)))
 
 
 def test_rational_series_basics():
@@ -120,7 +120,7 @@ def test_log_derivative_series_coefficients_are_scaled_counts():
     # coefficient k of the difference series is exactly f^k + n(k, j)
     for p, d in [(7, 3), (13, 4), (5, 4), (11, 5), (17, 8)]:
         ctx = make_context(p, d)
-        seq = n_sequence(compute_table(ctx), d + 3)
+        seq = NSequence(compute_table(ctx), d + 3)
         for j in range(d):
             diff = log_derivative_series(seq, j, d + 2)
             for k, c in enumerate(diff.coeffs):
@@ -150,7 +150,7 @@ def test_incremental_terms_match_materialized_series():
 
 def test_ord_examples_p7_d3():
     ctx = make_context(7, 3)
-    seq = n_sequence(compute_table(ctx), 1)
+    seq = NSequence(compute_table(ctx))
     values = {
         alpha: log_derivative_ord(seq, (alpha + ctx.theta) % 3)
         for alpha in (1, 2)
@@ -162,18 +162,19 @@ def test_ord_examples_p7_d3():
 def test_ord_matches_recurrence_solver():
     for p, d in [(13, 4), (17, 4), (29, 4), (11, 5), (31, 6), (13, 12)]:
         ctx = make_context(p, d)
-        seq = n_sequence(compute_table(ctx), 1)
+        solution = solve(ctx)
         for alpha in range(1, d):
             j = (alpha + ctx.theta) % d
-            assert log_derivative_ord(seq, j) == s_by_recurrence(seq, alpha)
+            assert log_derivative_ord(solution.seq, j) == solution.per_class_s[alpha]
 
 
 def test_ord_matches_recurrence_p199_d198_every_class():
     ctx = make_context(199, 198)
-    seq = n_sequence(compute_table(ctx), 1)
+    solution = solve(ctx)
     for alpha in range(1, 198):
         j = (alpha + ctx.theta) % 198
-        assert log_derivative_ord(seq, j) == s_by_recurrence(seq, alpha), alpha
+        s = solution.per_class_s[alpha]
+        assert log_derivative_ord(solution.seq, j) == s, alpha
 
 
 def test_integer_terms_match_fraction_oracle_property():
@@ -192,13 +193,13 @@ def test_integer_terms_match_fraction_oracle_property():
     @hypothesis.given(cases())
     def check(case):
         p, d, j = case
-        ctx = make_context(p, d)
-        seq = n_sequence(compute_table(ctx), 1)
+        solution = solve(make_context(p, d))
+        seq, ctx = solution.seq, solution.ctx
         oracle = unit_difference_series(seq, j, d + 2)
         lazy = [v for _, v in _difference_terms(seq, j, d + 2)]
         assert lazy == _scaled(oracle)
         alpha = (j - ctx.theta) % d
-        assert log_derivative_ord(seq, j) == s_by_recurrence(seq, alpha)
+        assert log_derivative_ord(seq, j) == solution.per_class_s[alpha]
 
     check()
 
@@ -273,6 +274,6 @@ def test_ord_at_class_of_minus_one():
         ctx = make_context(p, d)
         if ctx.theta == 0:
             continue
-        seq = n_sequence(compute_table(ctx), 1)
+        solution = solve(ctx)
         alpha = (-ctx.theta) % d
-        assert log_derivative_ord(seq, 0) == s_by_recurrence(seq, alpha)
+        assert log_derivative_ord(solution.seq, 0) == solution.per_class_s[alpha]

@@ -330,6 +330,21 @@ def test_oversized_table_refused_before_the_field(monkeypatch, capsys):
     )
 
 
+def test_oversized_oracle_counts_refused_before_the_field(monkeypatch, capsys):
+    def no_field(*args):
+        raise AssertionError("the power-class array was built")
+
+    monkeypatch.setattr(ffield, "_power_classes", no_field)
+    assert main(["oracle", "-p", "4194301", "-d", "4", "-k", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: oracle counts capped at p <= 2000, got 4194301\n"
+    )
+    assert main(["oracle", "-p", "7", "-d", "3", "-k", "17"]) == 2
+    assert capsys.readouterr().err == (
+        "error: oracle counts capped at k <= 16, got 17\n"
+    )
+
+
 def test_full_verification_refuses_series_scan_over_the_cap(monkeypatch, capsys):
     import cyclomod.series as series_module
 

@@ -3,19 +3,13 @@ import pytest
 from cyclomod import (
     brute_s,
     compute_table,
-    count_representations,
     dp_counts,
     make_context,
-    n_sequence,
     primes_in_range,
-    s_by_reachability,
-    s_by_recurrence,
     solve,
 )
 from cyclomod.cyclotomy import MAX_CELLS, CyclotomyTable
-from cyclomod.errors import (
-    BoundExceeded, InternalDisagreement, SanityFailure, ScaleGuard, Unreachable,
-)
+from cyclomod.errors import InternalDisagreement, SanityFailure, ScaleGuard
 from cyclomod.sweep import admissible_orders
 from cyclomod.waring import NSequence, recurrence_cells
 
@@ -30,8 +24,31 @@ def n_rows(seq):
     return [[seq.n(k, v) for v in range(d)] for k in range(seq.k_max + 1)]
 
 
+def by_recurrence(table):
+    """Each class's least k with m(k, alpha + theta) != 0, grown to k <= d."""
+    ctx = table.ctx
+    seq = NSequence(table)
+    seq.extend(ctx.d, until_covered=True)
+    return [seq.first_k[(alpha + ctx.theta) % ctx.d] for alpha in range(ctx.d)]
+
+
+def by_walks(table):
+    """One more than each class's shortest walk from alpha + theta to theta."""
+    ctx = table.ctx
+    walks = table.walk_lengths_to_theta
+    return [walks[(alpha + ctx.theta) % ctx.d] + 1 for alpha in range(ctx.d)]
+
+
+def representations(seq, a, k):
+    """N(k, a) read off m(k, v) = p * N(k, a), with v the class of -a."""
+    ctx = seq.ctx
+    quot, rem = divmod(seq.support(k).get(ctx.class_of(-a), 0), ctx.p)
+    assert rem == 0, (a, k)
+    return quot
+
+
 def test_base_values_p7_d3():
-    seq = n_sequence(compute_table(make_context(7, 3)), 3)
+    seq = NSequence(compute_table(make_context(7, 3)), 3)
     assert all(seq.n(0, v) == -1 for v in range(3))
     assert seq.n(1, 0) == 5  # p - f with theta = 0
     assert seq.n(1, 1) == -2
@@ -40,13 +57,13 @@ def test_base_values_p7_d3():
 
 def test_base_values_f_odd():
     # p=5, d=4: theta = 2, so the p-term lands at v = 2
-    seq = n_sequence(compute_table(make_context(5, 4)), 2)
+    seq = NSequence(compute_table(make_context(5, 4)), 2)
     assert [seq.n(1, v) for v in range(4)] == [-1, -1, 4, -1]
 
 
 def test_divisibility_invariant_enforced():
     for p, d in [(7, 3), (13, 4), (11, 5), (29, 28), (31, 6)]:
-        seq = n_sequence(compute_table(make_context(p, d)), 12)
+        seq = NSequence(compute_table(make_context(p, d)), 12)
         for k in range(13):
             fk = seq.f_power(k)
             for v in range(d):
@@ -90,12 +107,12 @@ def test_row_swap_breaks_the_tuple_count():
 
 
 def test_bound_exceeded_on_doctored_table():
-    # row sums are right, but class 1 never feeds class theta = 0
+    # row sums are right, but class 1 never feeds class theta = 0, so the
+    # rows grow to the cap k = d with classes 1 and 2 still unanswered
     table = compute_table(make_context(7, 3))
     doctored = table_from_counts(table.ctx, ((1, 0, 0), (0, 2, 0), (0, 0, 2)))
     seq = NSequence(doctored, 1)
-    with pytest.raises(BoundExceeded, match="class 1"):
-        s_by_recurrence(seq, 1)
+    seq.extend(3, until_covered=True)
     assert seq.k_max == 3
     assert seq.first_k == [1, None, None]
 
@@ -131,7 +148,7 @@ def test_sparse_rows_match_dense_oracle_property():
         p, d = case
         ctx = make_context(p, d)
         table = compute_table(ctx)
-        seq = n_sequence(table, d)
+        seq = NSequence(table, d)
         assert n_rows(seq) == dense_rows(table, d)
         for v in range(d):
             scan = next(
@@ -166,7 +183,7 @@ def test_quadratic_identity_links_counts_to_table():
     for p, d in [(7, 3), (13, 4), (17, 4), (11, 5), (29, 4), (31, 30)]:
         ctx = make_context(p, d)
         table = compute_table(ctx)
-        seq = n_sequence(table, 2)
+        seq = NSequence(table, 2)
         for v in range(d):
             assert seq.n(2, v) + ctx.f**2 == p * table.counts[v][ctx.theta]
 
@@ -176,7 +193,7 @@ def test_cubic_identity():
     for p, d in [(7, 3), (13, 4), (17, 4), (11, 5), (19, 9), (29, 4)]:
         ctx = make_context(p, d)
         table = compute_table(ctx)
-        seq = n_sequence(table, 3)
+        seq = NSequence(table, 3)
         for v in range(d):
             walk2 = sum(
                 table.counts[v][i] * table.counts[i][ctx.theta] for i in range(d)
@@ -193,7 +210,7 @@ def test_expanded_identity_higher_k():
     for p, d in [(7, 3), (13, 4), (11, 5), (17, 8), (13, 12)]:
         ctx = make_context(p, d)
         table = compute_table(ctx)
-        seq = n_sequence(table, 8)
+        seq = NSequence(table, 8)
         f, theta = ctx.f, ctx.theta
         powers = count_matrix_powers(table, 7)
         for v in range(d):
@@ -215,51 +232,46 @@ def test_expanded_identity_higher_k():
 
 def test_count_representations_p7_d3():
     ctx = make_context(7, 3)
-    seq = n_sequence(compute_table(ctx), 3)
+    seq = NSequence(compute_table(ctx), 3)
     # k = 1 counts membership in the cube set {1, 6}
-    assert count_representations(seq, 1, 1) == 1
-    assert count_representations(seq, 6, 1) == 1
-    assert count_representations(seq, 3, 1) == 0
+    assert representations(seq, 1, 1) == 1
+    assert representations(seq, 6, 1) == 1
+    assert representations(seq, 3, 1) == 0
     # 2 = 1 + 1 is the only ordered pair summing to 2
-    assert count_representations(seq, 2, 2) == 1
-    assert count_representations(seq, 3, 2) == 0
-    assert count_representations(seq, 8, 1) == 1  # residues normalize mod p
+    assert representations(seq, 2, 2) == 1
+    assert representations(seq, 3, 2) == 0
+    assert representations(seq, 8, 1) == 1  # residues normalize mod p
 
 
 def test_count_representations_matches_oracle():
     for p, d in [(13, 4), (13, 3), (17, 4), (11, 5), (29, 4)]:
         ctx = make_context(p, d)
-        seq = n_sequence(compute_table(ctx), 6)
-        counts = dp_counts(ctx, 6)
+        seq = NSequence(compute_table(ctx), 6)
+        oracle = dp_counts(ctx, 6)
         for k in range(1, 7):
             for a in range(1, p):
-                assert count_representations(seq, a, k) == counts.count(k, a)
+                assert representations(seq, a, k) == oracle.count(k, a)
 
 
 def test_s_by_recurrence_examples():
-    ctx = make_context(7, 3)
-    seq = n_sequence(compute_table(ctx), 1)
-    assert s_by_recurrence(seq, 0) == 1
-    values = [s_by_recurrence(seq, a) for a in range(3)]
+    values = by_recurrence(compute_table(make_context(7, 3)))
+    assert values[0] == 1
     assert max(values) == 3
-    ctx13 = make_context(13, 3)
-    seq13 = n_sequence(compute_table(ctx13), 1)
-    assert [s_by_recurrence(seq13, a) for a in (1, 2)] == [2, 2]
+    assert by_recurrence(compute_table(make_context(13, 3)))[1:] == [2, 2]
 
 
 def test_s_by_reachability_examples():
-    table = compute_table(make_context(7, 3))
-    assert s_by_reachability(table, 0) == 1
-    assert sorted(s_by_reachability(table, a) for a in (1, 2)) == [2, 3]
+    values = by_walks(compute_table(make_context(7, 3)))
+    assert values[0] == 1
+    assert sorted(values[1:]) == [2, 3]
 
 
 def test_reachability_equals_matrix_powers():
     for p, d in [(7, 3), (13, 4), (5, 4), (11, 5), (17, 8), (13, 12), (29, 7)]:
         table = compute_table(make_context(p, d))
-        for alpha in range(d):
-            assert s_by_reachability(table, alpha) == s_by_matrix_powers(
-                table, alpha
-            ), (p, d, alpha)
+        assert by_walks(table) == [
+            s_by_matrix_powers(table, alpha) for alpha in range(d)
+        ], (p, d)
 
 
 def test_unreachable_raises_on_doctored_table():
@@ -272,8 +284,7 @@ def test_unreachable_raises_on_doctored_table():
             for row in table.counts
         ),
     )
-    with pytest.raises(Unreachable):
-        s_by_reachability(doctored, 1)
+    assert doctored.walk_lengths_to_theta == (0, None, None)
 
 
 def test_solve_examples():
@@ -361,10 +372,8 @@ def test_three_way_equivalence_small():
         for d in admissible_orders(p):
             ctx = make_context(p, d)
             table = compute_table(ctx)
-            seq = n_sequence(table, 1)
-            for alpha in range(d):
-                s1 = s_by_recurrence(seq, alpha)
-                s2 = s_by_reachability(table, alpha)
+            routes = zip(by_recurrence(table), by_walks(table))
+            for alpha, (s1, s2) in enumerate(routes):
                 s3 = brute_s(ctx, ctx.element_of_class(alpha))
                 assert s1 == s2 == s3, (p, d, alpha)
 
