@@ -3,10 +3,13 @@
 The package computes, for an odd prime p and an order d dividing p - 1, the
 minimal number of nonzero d-th powers needed to represent each power class
 mod p, and the maximum of those counts.  solve() reports an answer only
-when two independent exact routes agree on every class: an integer
-recurrence over the cyclotomic numbers, and shortest walks on the class
-digraph.  A brute-force oracle arbitrates a class either route leaves
-unanswered, and the full checks compare it with every class.
+when two independent exact routes agree on every class.  One is always the
+shortest walks on the class digraph, read off the cyclotomic numbers.  At
+f = (p-1)/d >= 3 the other is an integer recurrence over the same numbers;
+at f <= 2 it is a closed form proved from the powers being +-1, which
+reads neither the table nor the class array.  A brute-force oracle
+arbitrates a class either route leaves unanswered, and the full checks
+compare it with every class.
 """
 
 from .closedform import closed_g, diophantine_witness, represent, resolve_sign

@@ -1,4 +1,4 @@
-"""Closed forms for orders 3 and 4 via binary quadratic form representations.
+"""Closed forms: orders 3 and 4 via binary quadratic forms, and f <= 2.
 
 For d = 3, write 4p = L^2 + 27 M^2 with L = 1 mod 3; for d = 4, write
 p = x^2 + 4 y^2 with x = 1 mod 4.  Dickson's classical formulas give the
@@ -16,6 +16,10 @@ those lists: a handful of diophantine equations that the representation of
 p satisfies precisely when some class needs more than two summands.
 certify bundles the closed g, the sign-resolved representation and the
 witness for one counted table.
+
+At f = (p - 1)/d <= 2 the powers are +-1 and every class's answer has a
+closed form of its own, small_f_lengths, which solve compares with the
+walks on the class digraph.
 """
 
 from __future__ import annotations
@@ -164,6 +168,28 @@ def closed_g(p: int, d: int) -> int:
     if d == 3:
         return 3 if p == 7 else 2
     return {5: 4, 13: 3, 17: 3, 29: 3}.get(p, 2)
+
+
+def small_f_lengths(p: int, d: int, omega: int) -> tuple[int, ...]:
+    """Every class's minimal number of d-th powers when f = (p-1)/d <= 2.
+
+    The nonzero d-th powers are the f-th roots of unity: 1 alone at f = 1,
+    and +-1 at f = 2.  A sum of k of them is an integer t with |t| <= k and
+    t = k mod 2 (t = k at f = 1), and every such t occurs.  So class alpha,
+    with representative r = omega^alpha mod p, needs exactly r powers at
+    f = 1 (the least k = r mod p), and min(r, p - r) at f = 2 (the least
+    |t| with t = r mod p; the class is {r, p - r}).  This is a proof from
+    p and omega alone: it reads neither the class array nor the cyclotomic
+    table, and costs d modular multiplications.
+    """
+    f, rem = divmod(p - 1, d)
+    if rem or f > 2:
+        raise ValueError(f"closed form needs d | p-1 with f <= 2, got p={p}, d={d}")
+    lengths, r = [], 1
+    for _ in range(d):
+        lengths.append(r if f == 1 else min(r, p - r))
+        r = r * omega % p
+    return tuple(lengths)
 
 
 #: the six certificate equations, keyed by (parity, class); each returns 0

@@ -8,11 +8,13 @@ already present in the output file.  Worker processes fan out over (p, d)
 jobs; the writer consumes results in submission order, which keeps the
 output deterministic regardless of the worker count.
 
-verify_level "fast" runs the two exact solvers against each other (solve
-always does).  "full" additionally arbitrates every class with the
-brute-force oracle, checks the series-side valuation for every nontrivial
-class, the low-order count identities, the classical table identities, and
-(for d = 3 or 4) the closed forms and the formula tables.
+verify_level "fast" compares solve's two exact routes, as solve always
+does: the walks on the class digraph against the n(k, v) recurrence at
+f >= 3, and against the +-1 closed form at f <= 2.  "full" additionally
+arbitrates every class with the brute-force oracle, checks the series-side
+valuation for every nontrivial class and the low-order count identities
+(both grow the recurrence rows on demand, at every f), the classical table
+identities, and (for d = 3 or 4) the closed forms and the formula tables.
 """
 
 from __future__ import annotations

@@ -21,9 +21,15 @@ answer for class alpha is first_k[alpha + theta].
 
 A second, independent route reads the same answer off the digraph on
 classes with an edge i -> j wherever (i, j) != 0: the minimal length is one
-more than the shortest walk from alpha + theta to theta.  solve() grows the
-rows once, until every class has entered the support, builds both routes'
-answers for every class, and refuses to return if they ever disagree.
+more than the shortest walk from alpha + theta to theta.  At f >= 3 solve()
+grows the rows once, until every class has entered the support, builds both
+routes' answers for every class, and refuses to return if they ever
+disagree.  At f <= 2 the recurrence would run to k = g, which is p - 1 or
+(p - 1)/2 (with values up to 2^g at f = 2), so solve() compares the walks
+with the closed form closedform.small_f_lengths instead: the powers are +-1
+there, and the answer is proved from p and omega alone, without the table.
+The rows still start, with the row-sum check, and grow on demand for the
+callers that read n(k, v).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from . import oracle
+from . import closedform, oracle
 from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table
 from .errors import InternalDisagreement, SanityFailure, ScaleGuard
 from .ffield import FieldContext, make_context
@@ -167,7 +173,10 @@ class NSequence:
 def recurrence_cells(p: int, d: int) -> int:
     """The recurrence's worst case for order d mod p, in cells.
 
-    solve may grow every row up to k = d.  Memory: d stored rows, each the
+    solve may grow every row up to k = d at f >= 3, and the callers that
+    read n(k, v) (period, series, the full checks) at every f; the price is
+    charged at every f, so at f <= 2, where solve grows no row past k = 1,
+    it overstates solve's own work.  Memory: d stored rows, each the
     support of m(k, .) and so at most d values, each up to d*log2(f) bits
     since values grow like f^k, priced in 64-bit words.
     Work: one multiply-add per row and nonzero table entry, of which there
@@ -200,11 +209,13 @@ def solver_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
 class WaringSolution:
     """Per-class minimal lengths and their maximum.
 
-    seq is the recurrence that drove the solve; its table and context hang
-    off it, so checks reuse them instead of rebuilding.  method records
-    which solver produced the values: "recurrence" when the two exact paths
-    agreed everywhere (the normal case), "oracle" when a guard tripped and
-    brute force arbitrated.
+    seq holds the recurrence rows; its table and context hang off it, so
+    checks reuse them instead of rebuilding, and it grows further rows on
+    demand (at f <= 2 solve leaves it at k_max = 1).  method records which
+    route was compared with the walks on the class digraph when the two
+    exact routes agreed everywhere (the normal case): "recurrence" at
+    f >= 3, "closed-form" at f <= 2.  It is "oracle" when a route left some
+    class unanswered and brute force arbitrated.
     """
 
     seq: NSequence
@@ -218,39 +229,47 @@ class WaringSolution:
 
 
 def solve(ctx: FieldContext) -> WaringSolution:
-    """Solve all classes, comparing the two exact solvers' answer vectors.
+    """Solve all classes, comparing two exact routes' answer vectors.
 
-    The recurrence grows once, until every class has entered the support or
-    k = d, and one breadth-first search gives every walk length; the two
-    vectors are then compared class by class.  The first class on which
-    they differ raises InternalDisagreement carrying both values; that is
-    the headline correctness contract, not a recoverable condition.  A class
-    either route leaves unanswered (recurrence cap, unreachable class) falls
-    back to the brute-force oracle and is logged; neither is expected to
-    occur.  A context the recurrence could not handle is refused before its
-    table is counted.
+    One breadth-first search over the table gives every walk length.  At
+    f >= 3 the recurrence grows once, until every class has entered the
+    support or k = d, and its first-k vector is the other route.  At f <= 2
+    the other route is the closed form (small_f_lengths), a proof from the
+    powers being +-1 that reads neither the class array nor the table, and
+    no row past k = 1 is grown.  The two vectors are compared class by
+    class; the first class on which they differ raises InternalDisagreement
+    carrying both values, keyed "recurrence" or "closed-form" and
+    "reachability".  That is the headline correctness contract, not a
+    recoverable condition.  A class either route leaves unanswered
+    (recurrence cap, unreachable class) falls back to the brute-force oracle
+    and is logged; neither is expected to occur.  A context the recurrence
+    could not handle is refused before its table is counted, at every f.
     """
     require_recurrence_fits(ctx.p, ctx.d)
     table = compute_table(ctx)
     seq = NSequence(table)
     p, d, theta = ctx.p, ctx.d, ctx.theta
-    seq.extend(d, until_covered=True)
-    # both routes read class alpha at alpha + theta
-    first, walks = seq.first_k, table.walk_lengths_to_theta
-    by_recurrence = first[theta:] + first[:theta]
+    # the walks and the recurrence read class alpha at alpha + theta
+    walks = table.walk_lengths_to_theta
     by_walks = [None if w is None else w + 1 for w in walks[theta:] + walks[:theta]]
+    if ctx.f <= 2:
+        route, by_route = "closed-form", closedform.small_f_lengths(p, d, ctx.omega)
+    else:
+        seq.extend(d, until_covered=True)
+        first = seq.first_k
+        route, by_route = "recurrence", first[theta:] + first[:theta]
     per_class = []
     fallback = False
-    for alpha, (rec, walk) in enumerate(zip(by_recurrence, by_walks)):
-        if rec == walk and rec is not None:
-            per_class.append(rec)
+    for alpha, (value, walk) in enumerate(zip(by_route, by_walks)):
+        if value == walk and value is not None:
+            per_class.append(value)
             continue
         values: dict[str, int] = {}
-        if rec is None:
+        if value is None:
             log.warning("recurrence cap hit for (p=%s, d=%s, alpha=%s): "
                         "no representation length <= d=%s found", p, d, alpha, d)
         else:
-            values["recurrence"] = rec
+            values[route] = value
         if walk is None:
             log.warning("unreachable class for (p=%s, d=%s, alpha=%s): class %s "
                         "not reachable from class %s", p, d, alpha, theta,
@@ -267,5 +286,5 @@ def solve(ctx: FieldContext) -> WaringSolution:
         seq=seq,
         per_class_s=tuple(per_class),
         g=max(per_class),
-        method="oracle" if fallback else "recurrence",
+        method="oracle" if fallback else route,
     )

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cyclomod import ffield
+from cyclomod import ffield, make_context, solve
 from cyclomod.cli import main
 from cyclomod.errors import CyclomodError, InputError, ScaleGuard
 from cyclomod.ffield import primes_in_range
@@ -14,6 +14,7 @@ from cyclomod.sweep import (
     SweepRecord,
     admissible_orders,
     emit,
+    full_checks,
     parse_record_key,
     run_sweep,
     scan_completed,
@@ -47,6 +48,21 @@ def test_solve_single_record_fields():
 def test_solve_single_fast_leaves_closed_form_unset():
     rec = solve_single(7, 3, "fast")
     assert rec.closed_form_match is None
+
+
+def test_full_checks_grow_the_rows_that_solve_skips_at_small_f():
+    # at f <= 2 solve answers from the closed form and leaves the rows at
+    # k = 1; the series valuation and the low-order identities grow them
+    for p, d in [(7, 3), (31, 15), (37, 36)]:
+        solution = solve(make_context(p, d))
+        assert solution.method == "closed-form"
+        assert solution.seq.k_max == 1
+        checks = full_checks(solution)
+        assert [c.name for c in checks if not c.passed] == [], (p, d)
+        assert {"series-valuation-agreement", "low-order-count-identities"} <= {
+            c.name for c in checks
+        }
+        assert solution.seq.k_max >= max(3, solution.g), (p, d)
 
 
 def test_emit_json_field_order_and_strings():

@@ -8,6 +8,7 @@ from cyclomod import (
     primes_in_range,
     solve,
 )
+from cyclomod.closedform import small_f_lengths
 from cyclomod.cyclotomy import MAX_CELLS, CyclotomyTable
 from cyclomod.errors import InternalDisagreement, SanityFailure, ScaleGuard
 from cyclomod.sweep import admissible_orders
@@ -155,10 +156,14 @@ def test_sparse_rows_match_dense_oracle_property():
                 (k for k in range(1, d + 1) if ctx.f**k + seq.n(k, v)), None
             )
             assert seq.first_k[v] == scan, (p, d, v)
-        # solve grows no row past the last class to enter the support
         solution = solve(ctx)
-        assert solution.seq.k_max == solution.g
-        assert solution.seq.first_k == seq.first_k
+        if ctx.f >= 3:
+            # solve grows no row past the last class to enter the support
+            assert solution.seq.k_max == solution.g
+            assert solution.seq.first_k == seq.first_k
+        else:
+            # the closed form answers f <= 2, so solve grows no row past k = 1
+            assert solution.seq.k_max == 1
 
     check()
 
@@ -166,16 +171,18 @@ def test_sparse_rows_match_dense_oracle_property():
 @pytest.mark.parametrize("p, d", [(3001, 3000), (2003, 1001), (1009, 504)])
 def test_deep_recurrence_matches_closed_answer(p, d):
     # f = 1: 1 is the only power, so class alpha needs r = omega^alpha ones;
-    # f = 2: the powers are +-1, so it needs min(r, p - r)
+    # f = 2: the powers are +-1, so it needs min(r, p - r).  solve answers
+    # these orders from the closed form, so the rows are grown here
     ctx = make_context(p, d)
-    solution = solve(ctx)
     expected = []
     for alpha in range(d):
         r = ctx.element_of_class(alpha)
         expected.append(r if ctx.f == 1 else min(r, p - r))
+    assert by_recurrence(compute_table(ctx)) == expected
+    assert max(expected) == (p - 1 if ctx.f == 1 else (p - 1) // 2)
+    solution = solve(ctx)
     assert solution.per_class_s == tuple(expected)
-    assert solution.g == (p - 1 if ctx.f == 1 else (p - 1) // 2)
-    assert solution.method == "recurrence"
+    assert solution.method == "closed-form"
 
 
 def test_quadratic_identity_links_counts_to_table():
@@ -294,6 +301,7 @@ def test_solve_examples():
     sol = solve(make_context(13, 4))
     assert sol.per_class_s[0] == 1
     assert sol.method == "recurrence"
+    assert solve(make_context(7, 3)).method == "closed-form"
     assert all(1 <= s <= 13 - 1 for s in sol.per_class_s)
 
 
@@ -305,24 +313,70 @@ def test_solve_per_class_bounds():
         assert all(1 <= s <= d for s in sol.per_class_s)
 
 
-def test_solve_raises_on_forced_disagreement(monkeypatch):
-    # walks of 98 steps from every class but theta itself: class 0 still
-    # agrees, class 1 is the first to differ
+def long_walks(monkeypatch):
+    """Walks of 98 steps from every class but theta itself."""
     monkeypatch.setattr(
         CyclotomyTable,
         "walk_lengths_to_theta",
         property(lambda table: tuple(0 if v == table.ctx.theta else 98
                                      for v in range(table.ctx.d))),
     )
+
+
+def counted_extend_calls(monkeypatch):
+    """The positional arguments of every NSequence.extend call, as a list."""
+    calls = []
+    extend = NSequence.extend
+
+    def counted(seq, *args, **kwargs):
+        calls.append(args)
+        return extend(seq, *args, **kwargs)
+
+    monkeypatch.setattr(NSequence, "extend", counted)
+    return calls
+
+
+def test_solve_raises_on_forced_disagreement(monkeypatch):
+    # (13, 3) has f = 4: class 0 still agrees, class 1 is the first to differ
+    long_walks(monkeypatch)
+    with pytest.raises(InternalDisagreement) as info:
+        solve(make_context(13, 3))
+    assert info.value.alpha == 1
+    assert info.value.values == {"recurrence": 2, "reachability": 99}
+
+
+def test_solve_raises_on_forced_disagreement_with_the_closed_form(monkeypatch):
+    # (7, 3) has f = 2, so the walks are compared with the closed form
+    long_walks(monkeypatch)
     with pytest.raises(InternalDisagreement) as info:
         solve(make_context(7, 3))
     assert info.value.alpha == 1
-    assert info.value.values == {"recurrence": 3, "reachability": 99}
+    assert info.value.values == {"closed-form": 3, "reachability": 99}
 
 
 def test_solve_falls_back_to_the_oracle_on_unanswered_classes(monkeypatch, caplog):
-    # classes 1 and 2 of this doctored (7, 3) table never feed theta = 0,
-    # so neither route answers them and brute force does, with a warning each
+    # classes 1 and 2 of this doctored (13, 3) table (f = 4) never feed
+    # theta = 0, and its row and column sums are a real table's, so neither
+    # route answers them and brute force does, with a warning each
+    import cyclomod.waring as waring_module
+
+    ctx = make_context(13, 3)
+    doctored = table_from_counts(ctx, ((3, 0, 0), (0, 4, 0), (0, 0, 4)))
+    monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
+    with caplog.at_level("WARNING", logger="cyclomod.waring"):
+        solution = waring_module.solve(ctx)
+    assert solution.per_class_s == (1, 2, 2)
+    assert solution.method == "oracle"
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("recurrence cap hit" in m for m in messages) == 2
+    assert sum("unreachable class" in m for m in messages) == 2
+
+
+def test_solve_falls_back_to_the_oracle_on_unwalked_classes_at_f_2(
+    monkeypatch, caplog
+):
+    # the same cut at (7, 3): the closed form answers every class, the walks
+    # leave classes 1 and 2 unanswered, and brute force arbitrates them
     import cyclomod.waring as waring_module
 
     ctx = make_context(7, 3)
@@ -333,37 +387,107 @@ def test_solve_falls_back_to_the_oracle_on_unanswered_classes(monkeypatch, caplo
     assert solution.per_class_s == (1, 3, 2)
     assert solution.method == "oracle"
     messages = [r.getMessage() for r in caplog.records]
-    assert sum("recurrence cap hit" in m for m in messages) == 2
+    assert sum("recurrence cap hit" in m for m in messages) == 0
     assert sum("unreachable class" in m for m in messages) == 2
 
 
 def test_solve_grows_the_rows_in_one_call_that_checks_column_sums(monkeypatch):
-    # swapping (1, 0) and (1, 1) of the (7, 3) table keeps every row sum and
-    # moves column theta = 0's, which row 2 of the single growth call shows
+    # swapping (1, 0) and (1, 1) of the (13, 3) table (f = 4) keeps every
+    # row sum and moves column theta = 0's, which row 2 of the single growth
+    # call shows
     import cyclomod.waring as waring_module
 
-    ctx = make_context(7, 3)
-    swapped = table_from_counts(ctx, ((0, 0, 1), (1, 0, 1), (1, 1, 0)))
-    calls = []
-    extend = NSequence.extend
-
-    def counted(seq, *args, **kwargs):
-        calls.append(args)
-        return extend(seq, *args, **kwargs)
-
-    monkeypatch.setattr(NSequence, "extend", counted)
+    ctx = make_context(13, 3)
+    swapped = table_from_counts(ctx, ((0, 1, 2), (2, 1, 1), (2, 1, 1)))
+    calls = counted_extend_calls(monkeypatch)
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: swapped)
     with pytest.raises(SanityFailure, match="row 2: .* not p\\*f\\^1"):
         waring_module.solve(ctx)
     assert calls == [(1,), (3,)]  # construction, then the one growth call
 
 
+def test_solve_grows_no_row_at_f_2_and_the_walks_see_a_column_swap(monkeypatch):
+    # the same swap in the (7, 3) table: solve grows no row past
+    # construction, and the walks disagree with the closed form instead
+    import cyclomod.waring as waring_module
+
+    ctx = make_context(7, 3)
+    swapped = table_from_counts(ctx, ((0, 0, 1), (1, 0, 1), (1, 1, 0)))
+    calls = counted_extend_calls(monkeypatch)
+    monkeypatch.setattr(waring_module, "compute_table", lambda ctx: swapped)
+    with pytest.raises(InternalDisagreement) as info:
+        waring_module.solve(ctx)
+    assert info.value.alpha == 1
+    assert info.value.values == {"closed-form": 3, "reachability": 2}
+    assert calls == [(1,)]  # construction only
+
+
+def test_rectangle_move_at_f_2_disagrees_with_the_closed_form(monkeypatch):
+    # +1 at (1, 2) and (4, 3), -1 at (1, 3) and (4, 2) keeps every row and
+    # column sum of the (11, 5) table, which the recurrence's checks read;
+    # the new edge 1 -> 2 shortens class 4's walk from 4 steps to 3, which
+    # the closed form, reading no table, refuses
+    import cyclomod.waring as waring_module
+
+    ctx = make_context(11, 5)
+    moved = [list(row) for row in compute_table(ctx).counts]
+    for (i, j), delta in {(1, 2): 1, (4, 3): 1, (1, 3): -1, (4, 2): -1}.items():
+        moved[i][j] += delta
+    doctored = table_from_counts(ctx, moved)
+    assert all(sum(row) == ctx.f - (v == ctx.theta) for v, row in enumerate(moved))
+    assert all(sum(col) == ctx.f - (l == 0) for l, col in enumerate(zip(*moved)))
+    monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
+    with pytest.raises(InternalDisagreement) as info:
+        waring_module.solve(ctx)
+    assert info.value.alpha == 4
+    assert info.value.values == {"closed-form": 5, "reachability": 4}
+
+
+def test_closed_form_route_at_small_f_property():
+    # solve's answer at f <= 2 is the closed form, the recurrence grown to
+    # full depth gives the same vector, and so does brute force below 2000;
+    # keys over the recurrence price are still refused, as at every f
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=15, deadline=None)
+    @hypothesis.given(
+        st.sampled_from(primes_in_range(5, 3000)), st.sampled_from([1, 2]), st.data()
+    )
+    @hypothesis.example(2393, 2, st.data())  # the least refused f = 2 key
+    def check(p, f, data):
+        d = (p - 1) // f
+        ctx = make_context(p, d)
+        closed = small_f_lengths(p, d, ctx.omega)
+        if recurrence_cells(p, d) > MAX_CELLS:
+            with pytest.raises(ScaleGuard, match="the recurrence may need"):
+                solve(ctx)
+            return
+        solution = solve(ctx)
+        assert solution.per_class_s == closed
+        assert solution.method == "closed-form"
+        assert by_recurrence(solution.seq.table) == list(closed)
+        if p < 2000:
+            sample = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3))
+            for alpha in sample:
+                assert brute_s(ctx, ctx.element_of_class(alpha)) == closed[alpha]
+
+    check()
+
+
+def test_small_f_lengths_refuses_other_orders():
+    with pytest.raises(ValueError, match="f <= 2"):
+        small_f_lengths(13, 4, 2)
+    with pytest.raises(ValueError, match="f <= 2"):
+        small_f_lengths(13, 5, 2)
+
+
 def test_f_equal_1_stores_at_most_one_entry_per_row():
     # 1 is the only power, so k powers reach the single residue k: the
     # stored rows hold O(d) entries in all, not O(d^2)
-    solution = solve(make_context(3001, 3000))
-    seq = solution.seq
-    assert seq.k_max == solution.g == 3000
+    seq = NSequence(compute_table(make_context(3001, 3000)))
+    seq.extend(3000, until_covered=True)
+    assert seq.k_max == 3000
     assert all(len(seq.support(k)) == (k > 0) for k in range(seq.k_max + 1))
 
 
