@@ -7,9 +7,10 @@ when two independent exact routes agree on every class.  One is always the
 shortest walks on the class digraph, read off the cyclotomic numbers.  At
 f = (p-1)/d >= 3 the other is an integer recurrence over the same numbers;
 at f <= 2 it is a closed form proved from the powers being +-1, which
-reads neither the table nor the class array.  A brute-force oracle
-arbitrates a class either route leaves unanswered, and the full checks
-compare it with every class.
+reads neither the table nor the class array.  A class on which either
+route is silent fails like a disagreement.  A brute-force oracle only
+checks: the full checks compare it with every class, and it never
+supplies an answer.
 """
 
 from .closedform import closed_g, diophantine_witness, represent, resolve_sign

@@ -58,7 +58,11 @@ class SanityFailure(CyclomodError):
 
 
 class InternalDisagreement(CyclomodError):
-    """Two independent solvers returned different values for the same class."""
+    """Two independent solvers did not give the same answer for a class.
+
+    values maps each route to its answer; None marks a route that gave no
+    answer, which raises this too, since an answer needs two that agree.
+    """
 
     def __init__(self, alpha, values):
         self.alpha = alpha

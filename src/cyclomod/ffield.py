@@ -25,7 +25,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, cycle
+from itertools import chain, compress, cycle
 
 from .errors import (
     DegenerateOrder, InputError, NotPrime, SanityFailure, ScaleGuard, ZeroArgument,
@@ -118,15 +118,25 @@ def smallest_primitive_root(p: int) -> int:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi] via a sieve."""
-    if hi < 2:
+    """All primes in [lo, hi], by a segmented sieve.
+
+    A base sieve finds the primes up to isqrt(hi), and they strike their
+    multiples from one segment of hi - lo + 1 bytes (lo raised to 2), so
+    the memory follows the width of the range, not hi.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, math.isqrt(hi) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = b"\x00" * len(sieve[q * q :: q])
-    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    base[0:2] = b"\x00\x00"
+    segment = bytearray([1]) * (hi - lo + 1)
+    # compress reads base as the loop strikes it, so every q is prime
+    for q in compress(range(root + 1), base):
+        base[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
+        start = max(q * q, -(-lo // q) * q)
+        segment[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+    return list(compress(range(lo, hi + 1), segment))
 
 
 def _max_p_limit(max_p: int | None) -> int:

@@ -3,7 +3,8 @@
 Representation counts come from a dynamic program over residues (row k+1 is
 the cyclic convolution of row k with the d-th power indicator), and minimal
 representation lengths from direct sumset growth.  Nothing here touches
-cyclotomic numbers, so these results can arbitrate between the exact solvers.
+cyclotomic numbers, so these results can check the exact solvers' answers;
+they never supply one.
 
 Sumsets are held as p-bit integers (bit a set iff residue a is reachable);
 adding the power set is an OR of cyclic shifts.  That is still the naive

@@ -24,25 +24,23 @@ classes with an edge i -> j wherever (i, j) != 0: the minimal length is one
 more than the shortest walk from alpha + theta to theta.  At f >= 3 solve()
 grows the rows once, until every class has entered the support, builds both
 routes' answers for every class, and refuses to return if they ever
-disagree.  At f <= 2 the recurrence would run to k = g, which is p - 1 or
-(p - 1)/2 (with values up to 2^g at f = 2), so solve() compares the walks
-with the closed form closedform.small_f_lengths instead: the powers are +-1
-there, and the answer is proved from p and omega alone, without the table.
+disagree or either leaves a class unanswered.  At f <= 2 the recurrence
+would run to k = g, which is p - 1 or (p - 1)/2 (with values up to 2^g at
+f = 2), so solve() compares the walks with the closed form
+closedform.small_f_lengths instead: the powers are +-1 there, and the
+answer is proved from p and omega alone, without the table.
 The rows still start, with the row-sum check, and grow on demand for the
 callers that read n(k, v).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
-from . import closedform, oracle
+from . import closedform
 from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table
 from .errors import InternalDisagreement, SanityFailure, ScaleGuard
 from .ffield import FieldContext, make_context
-
-log = logging.getLogger(__name__)
 
 
 class NSequence:
@@ -211,11 +209,10 @@ class WaringSolution:
 
     seq holds the recurrence rows; its table and context hang off it, so
     checks reuse them instead of rebuilding, and it grows further rows on
-    demand (at f <= 2 solve leaves it at k_max = 1).  method records which
-    route was compared with the walks on the class digraph when the two
-    exact routes agreed everywhere (the normal case): "recurrence" at
-    f >= 3, "closed-form" at f <= 2.  It is "oracle" when a route left some
-    class unanswered and brute force arbitrated.
+    demand (at f <= 2 solve leaves it at k_max = 1).  per_class_s is the
+    answer vector on which two exact routes agreed in full; method names
+    the route compared with the walks on the class digraph: "recurrence"
+    at f >= 3, "closed-form" at f <= 2.
     """
 
     seq: NSequence
@@ -229,21 +226,23 @@ class WaringSolution:
 
 
 def solve(ctx: FieldContext) -> WaringSolution:
-    """Solve all classes, comparing two exact routes' answer vectors.
+    """Solve all classes, answering only where two exact routes agree.
 
     One breadth-first search over the table gives every walk length.  At
     f >= 3 the recurrence grows once, until every class has entered the
     support or k = d, and its first-k vector is the other route.  At f <= 2
     the other route is the closed form (small_f_lengths), a proof from the
     powers being +-1 that reads neither the class array nor the table, and
-    no row past k = 1 is grown.  The two vectors are compared class by
-    class; the first class on which they differ raises InternalDisagreement
-    carrying both values, keyed "recurrence" or "closed-form" and
-    "reachability".  That is the headline correctness contract, not a
-    recoverable condition.  A class either route leaves unanswered
-    (recurrence cap, unreachable class) falls back to the brute-force oracle
-    and is logged; neither is expected to occur.  A context the recurrence
-    could not handle is refused before its table is counted, at every f.
+    no row past k = 1 is grown.  The two vectors are compared whole.  The
+    first class on which they differ, or on which either route gives no
+    answer (None: a class the recurrence did not reach by k = d, or one
+    with no walk to theta), raises InternalDisagreement carrying both
+    values, keyed "recurrence" or "closed-form" and "reachability".  On a
+    true table neither route is ever silent, so that is the headline
+    correctness contract, not a recoverable condition.  Brute force only
+    checks the answers (sweep.full_checks); it never supplies one.
+    A context the recurrence could not handle is refused before its table
+    is counted, at every f.
     """
     require_recurrence_fits(ctx.p, ctx.d)
     table = compute_table(ctx)
@@ -251,40 +250,16 @@ def solve(ctx: FieldContext) -> WaringSolution:
     p, d, theta = ctx.p, ctx.d, ctx.theta
     # the walks and the recurrence read class alpha at alpha + theta
     walks = table.walk_lengths_to_theta
-    by_walks = [None if w is None else w + 1 for w in walks[theta:] + walks[:theta]]
+    by_walks = tuple(None if w is None else w + 1
+                     for w in walks[theta:] + walks[:theta])
     if ctx.f <= 2:
         route, by_route = "closed-form", closedform.small_f_lengths(p, d, ctx.omega)
     else:
         seq.extend(d, until_covered=True)
-        first = seq.first_k
+        first = tuple(seq.first_k)
         route, by_route = "recurrence", first[theta:] + first[:theta]
-    per_class = []
-    fallback = False
-    for alpha, (value, walk) in enumerate(zip(by_route, by_walks)):
-        if value == walk and value is not None:
-            per_class.append(value)
-            continue
-        values: dict[str, int] = {}
-        if value is None:
-            log.warning("recurrence cap hit for (p=%s, d=%s, alpha=%s): "
-                        "no representation length <= d=%s found", p, d, alpha, d)
-        else:
-            values[route] = value
-        if walk is None:
-            log.warning("unreachable class for (p=%s, d=%s, alpha=%s): class %s "
-                        "not reachable from class %s", p, d, alpha, theta,
-                        (alpha + theta) % d)
-        else:
-            values["reachability"] = walk
-        if len(values) < 2:
-            fallback = True
-            values["oracle"] = oracle.brute_s(ctx, ctx.element_of_class(alpha))
-        if len(set(values.values())) != 1:
-            raise InternalDisagreement(alpha, values)
-        per_class.append(next(iter(values.values())))
-    return WaringSolution(
-        seq=seq,
-        per_class_s=tuple(per_class),
-        g=max(per_class),
-        method="oracle" if fallback else route,
-    )
+    if by_route != by_walks or None in by_walks:
+        alpha = next(a for a, w in enumerate(by_walks) if w is None or w != by_route[a])
+        raise InternalDisagreement(
+            alpha, {route: by_route[alpha], "reachability": by_walks[alpha]})
+    return WaringSolution(seq=seq, per_class_s=by_route, g=max(by_route), method=route)

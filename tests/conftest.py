@@ -6,8 +6,9 @@ a walk over every power of omega, the cyclotomic table from the literal
 definitional double loop and from a per-residue Counter tally, the rows
 n(k, v) from the dense recurrence, reachability from literal boolean
 matrix powers, the count identities from integer matrix powers of the
-table itself, the series differences from literal Fraction arithmetic on
-I_j, and the periods from floating-point sums of roots of unity.
+table itself, the class series I_j from its defining Fraction recurrence
+and its differences from literal Fraction arithmetic on it, and the
+periods from floating-point sums of roots of unity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from cyclomod.cyclotomy import CyclotomyTable
 from cyclomod.errors import SanityFailure, ScaleGuard
 from cyclomod.ffield import FieldContext
 from cyclomod.periods import PeriodPolynomial
-from cyclomod.series import RationalSeries, i_series
+from cyclomod.series import RationalSeries
 from cyclomod.waring import NSequence
 
 #: numeric_periods is for validation only; summing 10^4 complex terms is
@@ -261,6 +262,23 @@ def geometric_series(ratio: int, order: int) -> RationalSeries:
     return RationalSeries(tuple(out))
 
 
+def fraction_i_series(seq: NSequence, j: int, order: int) -> RationalSeries:
+    """The class series I_j to the given order, by its defining recurrence.
+
+    c_0 = 1 and c_k = -(1/k) * sum_{l<k} c_l * n(k-1-l, j), in Fractions:
+    independent of the integer convolution on k! c_k that cyclomod.series
+    runs.
+    """
+    nvals = [seq.n(k, j) for k in range(order)]
+    c = [Fraction(1)]
+    for k in range(1, order + 1):
+        acc = Fraction(0)
+        for l in range(k):
+            acc += c[l] * nvals[k - 1 - l]
+        c.append(-acc / k)
+    return RationalSeries(tuple(c))
+
+
 def log_derivative_series(seq: NSequence, j: int, order: int) -> RationalSeries:
     """The difference series 1/(1 - f*T) - I_j'/I_j, truncated at order.
 
@@ -268,7 +286,7 @@ def log_derivative_series(seq: NSequence, j: int, order: int) -> RationalSeries:
     subtract from the geometric series.  The k-th coefficient equals
     f^k + n(k, j); the coefficient at k = 0 is always zero.
     """
-    source = i_series(seq, j, order + 1)
+    source = fraction_i_series(seq, j, order + 1)
     ratio = series_multiply(
         series_derivative(source), series_inverse(source, order), order
     )
@@ -281,7 +299,7 @@ def unit_difference_series(seq: NSequence, j: int, order: int) -> RationalSeries
     It equals (1 - f*T) * I_j times the difference series, so it has the
     same valuation and the same leading coefficient f^v + n(v, j).
     """
-    source = i_series(seq, j, order + 1)
+    source = fraction_i_series(seq, j, order + 1)
     one_minus_ft = RationalSeries((Fraction(1), Fraction(-seq.ctx.f)))
     return series_subtract(
         source, series_multiply(one_minus_ft, series_derivative(source), order)

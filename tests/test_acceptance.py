@@ -32,7 +32,9 @@ from cyclomod.closedform import KIND_D3, KIND_D4
 from cyclomod.sweep import admissible_orders, run_sweep
 from cyclomod.waring import NSequence
 
-from conftest import factorial_denominator_violations, reciprocal_check
+from conftest import (
+    factorial_denominator_violations, fraction_i_series, reciprocal_check,
+)
 
 
 def _report(name: str, violations, elapsed: float | None = None, budget=None):
@@ -212,13 +214,13 @@ def test_factorial_scaled_integrality():
             ctx = make_context(p, d)
             seq = NSequence(compute_table(ctx))
             for j in range(d):
-                if factorial_denominator_violations(i_series(seq, j, d + 2)):
+                if factorial_denominator_violations(fraction_i_series(seq, j, d + 2)):
                     bad.append((p, d, j))
     for p, d in [(97, 96), (89, 88), (101, 100), (211, 14), (499, 6)]:
         ctx = make_context(p, d)
         seq = NSequence(compute_table(ctx))
         for j in (0, 1, d // 2):
-            if factorial_denominator_violations(i_series(seq, j, d + 2)):
+            if factorial_denominator_violations(fraction_i_series(seq, j, d + 2)):
                 bad.append((p, d, j))
     _report("k! * c_k integrality", bad)
     assert not bad

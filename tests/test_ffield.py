@@ -1,3 +1,4 @@
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -45,6 +46,41 @@ def test_primes_in_range():
     assert primes_in_range(3, 30) == [3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_in_range(20, 22) == []
     assert primes_in_range(0, 1) == []
+
+
+def test_primes_in_range_sieves_only_the_range_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def ranges(draw):
+        lo = draw(st.integers(min_value=-5, max_value=10**8))
+        return lo, lo + draw(st.integers(min_value=-3, max_value=3000))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(ranges())
+    @hypothesis.example((-5, 1))
+    @hypothesis.example((0, 2))
+    @hypothesis.example((2, 3))
+    @hypothesis.example((2, 1))
+    @hypothesis.example((10**8 - 100, 10**8))
+    def check(bounds):
+        lo, hi = bounds
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+    check()
+
+
+def test_primes_in_range_memory_follows_the_width():
+    # a sieve sized by hi would take 10^8 bytes here
+    tracemalloc.start()
+    try:
+        primes = primes_in_range(10**8 - 100, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes == [n for n in range(10**8 - 100, 10**8 + 1) if is_prime(n)]
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     factorial_denominator_violations,
+    fraction_i_series,
     geometric_series,
     log_derivative_series,
     reciprocal_check,
@@ -109,10 +110,11 @@ def test_nontrivial_classes_have_nonzero_tail():
 
 
 def test_factorial_scaled_coefficients_are_integers():
+    # the integer scan rests on this, so it is read off the Fraction oracle
     for p, d in [(7, 3), (13, 4), (29, 4), (31, 30), (97, 8)]:
         seq = _seq(p, d)
         for j in range(d):
-            s = i_series(seq, j, d + 2)
+            s = fraction_i_series(seq, j, d + 2)
             assert factorial_denominator_violations(s) == []
 
 
@@ -200,6 +202,31 @@ def test_integer_terms_match_fraction_oracle_property():
         assert lazy == _scaled(oracle)
         alpha = (j - ctx.theta) % d
         assert log_derivative_ord(seq, j) == solution.per_class_s[alpha]
+
+    check()
+
+
+def test_i_series_matches_fraction_recurrence_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.sampled_from(primes_in_range(3, 1100)))
+        d = draw(st.sampled_from([d for d in admissible_orders(p) if d <= 120]))
+        j = draw(st.integers(min_value=0, max_value=min(d, 4) - 1))
+        return p, d, j, draw(st.sampled_from([0, 1, 2, d + 2, 40]))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((7, 3, 1, 40))
+    @hypothesis.example((3, 2, 1, 40))
+    @hypothesis.example((101, 100, 3, 102))
+    @hypothesis.example((1009, 336, 2, 40))
+    def check(case):
+        p, d, j, order = case
+        seq = _seq(p, d)
+        assert i_series(seq, j, order) == fraction_i_series(seq, j, order)
 
     check()
 

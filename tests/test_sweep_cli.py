@@ -21,6 +21,8 @@ from cyclomod.sweep import (
     solve_single,
 )
 
+from conftest import table_from_counts
+
 
 def test_admissible_orders():
     assert admissible_orders(13) == [2, 3, 4, 6, 12]
@@ -359,6 +361,47 @@ def test_oversized_oracle_counts_refused_before_the_field(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: oracle counts capped at k <= 16, got 17\n"
     )
+
+
+def test_full_checks_count_a_series_scan_that_gives_up_as_off(monkeypatch):
+    # (13, 3) has theta = 0, so class alpha is scanned as j = alpha; a scan
+    # that gives up is no answer, whatever brute force says
+    import cyclomod.series as series_module
+    from cyclomod.errors import AllZeroToOrder
+
+    real = series_module.log_derivative_ord
+
+    def gives_up_on_class_2(seq, j):
+        if j == 2:
+            raise AllZeroToOrder("synthetic: all zero")
+        return real(seq, j)
+
+    solution = solve(make_context(13, 3))
+    monkeypatch.setattr(series_module, "log_derivative_ord", gives_up_on_class_2)
+    failed = [c for c in full_checks(solution) if not c.passed]
+    assert [c.name for c in failed] == ["series-valuation-agreement"]
+    assert failed[0].detail == (
+        f"classes off: [(2, None, {solution.per_class_s[2]})]"
+    )
+
+
+def test_a_table_both_routes_leave_unanswered_gives_no_record(monkeypatch, capsys):
+    # classes 1 and 2 of this doctored (13, 3) table never reach theta = 0:
+    # the key fails instead of emitting an answer neither route gave
+    import cyclomod.waring as waring_module
+
+    doctored = table_from_counts(
+        make_context(13, 3), ((3, 0, 0), (0, 4, 0), (0, 0, 4))
+    )
+    monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
+    assert main(["sweep", "--pmin", "13", "--pmax", "13", "-d", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "sweep: (p=13, d=3) failed: InternalDisagreement"
+    )
+    assert main(["sd", "-p", "13", "-d", "3"]) == 1
+    assert "InternalDisagreement" in capsys.readouterr().err
 
 
 def test_full_verification_refuses_series_scan_over_the_cap(monkeypatch, capsys):

@@ -354,41 +354,33 @@ def test_solve_raises_on_forced_disagreement_with_the_closed_form(monkeypatch):
     assert info.value.values == {"closed-form": 3, "reachability": 99}
 
 
-def test_solve_falls_back_to_the_oracle_on_unanswered_classes(monkeypatch, caplog):
+def test_solve_raises_on_classes_both_routes_leave_unanswered(monkeypatch):
     # classes 1 and 2 of this doctored (13, 3) table (f = 4) never feed
     # theta = 0, and its row and column sums are a real table's, so neither
-    # route answers them and brute force does, with a warning each
+    # route answers them: a silent route is no answer, and solve refuses
     import cyclomod.waring as waring_module
 
     ctx = make_context(13, 3)
     doctored = table_from_counts(ctx, ((3, 0, 0), (0, 4, 0), (0, 0, 4)))
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
-    with caplog.at_level("WARNING", logger="cyclomod.waring"):
-        solution = waring_module.solve(ctx)
-    assert solution.per_class_s == (1, 2, 2)
-    assert solution.method == "oracle"
-    messages = [r.getMessage() for r in caplog.records]
-    assert sum("recurrence cap hit" in m for m in messages) == 2
-    assert sum("unreachable class" in m for m in messages) == 2
+    with pytest.raises(InternalDisagreement) as info:
+        waring_module.solve(ctx)
+    assert info.value.alpha == 1
+    assert info.value.values == {"recurrence": None, "reachability": None}
 
 
-def test_solve_falls_back_to_the_oracle_on_unwalked_classes_at_f_2(
-    monkeypatch, caplog
-):
+def test_solve_raises_on_unwalked_classes_at_f_2(monkeypatch):
     # the same cut at (7, 3): the closed form answers every class, the walks
-    # leave classes 1 and 2 unanswered, and brute force arbitrates them
+    # leave classes 1 and 2 unanswered, and one answer alone is refused
     import cyclomod.waring as waring_module
 
     ctx = make_context(7, 3)
     doctored = table_from_counts(ctx, ((1, 0, 0), (0, 2, 0), (0, 0, 2)))
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
-    with caplog.at_level("WARNING", logger="cyclomod.waring"):
-        solution = waring_module.solve(ctx)
-    assert solution.per_class_s == (1, 3, 2)
-    assert solution.method == "oracle"
-    messages = [r.getMessage() for r in caplog.records]
-    assert sum("recurrence cap hit" in m for m in messages) == 0
-    assert sum("unreachable class" in m for m in messages) == 2
+    with pytest.raises(InternalDisagreement) as info:
+        waring_module.solve(ctx)
+    assert info.value.alpha == 1
+    assert info.value.values == {"closed-form": 3, "reachability": None}
 
 
 def test_solve_grows_the_rows_in_one_call_that_checks_column_sums(monkeypatch):
