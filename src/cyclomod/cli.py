@@ -130,7 +130,7 @@ def cmd_cyclo(args) -> int:
 
 
 def cmd_period(args) -> int:
-    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
+    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p, rows=True)
     table = cyclotomy.compute_table(ctx)
     seq = waring.NSequence(table, max(ctx.d - 1, 1))
     poly = periods.period_polynomial(seq)
@@ -148,7 +148,7 @@ def cmd_period(args) -> int:
 def cmd_series(args) -> int:
     if args.series_order is not None:
         series.require_order(args.series_order)  # before the O(p) field
-    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
+    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p, rows=True)
     order = args.series_order if args.series_order is not None else ctx.d + 2
     table = cyclotomy.compute_table(ctx)
     seq = waring.NSequence(table)
@@ -249,17 +249,24 @@ def cmd_verify(args) -> int:
     pmin, pmax = _prime_bounds(args)
     failed = 0
     total = 0
-    for p, d in sweep.record_keys(pmin, pmax, args.order):
-        solution = waring.solve(waring.solver_context(p, d, max_p=args.max_p))
-        for check in sweep.full_checks(solution):
-            total += 1
-            mark = "PASS" if check.passed else "FAIL"
-            line = f"{mark} (p={p}, d={d}) {check.name}"
-            if check.detail and not check.passed:
-                line += f": {check.detail}"
-            print(line)
-            if not check.passed:
-                failed += 1
+    keys = sweep.record_keys(pmin, pmax, args.order)
+    for p, orders in sweep.prime_orders(keys):
+        # one field per prime; an order it does not serve raises its own error
+        fields = sweep.prime_fields(p, orders, "full", args.max_p)
+        for d in orders:
+            if d in fields:
+                ctx = fields[d].for_order(d)
+            else:
+                ctx = waring.solver_context(p, d, max_p=args.max_p, rows=True)
+            for check in sweep.full_checks(waring.solve(ctx)):
+                total += 1
+                mark = "PASS" if check.passed else "FAIL"
+                line = f"{mark} (p={p}, d={d}) {check.name}"
+                if check.detail and not check.passed:
+                    line += f": {check.detail}"
+                print(line)
+                if not check.passed:
+                    failed += 1
     print(f"{total - failed}/{total} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFICATION
 

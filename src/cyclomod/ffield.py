@@ -15,6 +15,13 @@ contiguous slices and writes one chunk, with whole-chunk translate and
 integer operations.  A last pass proves class(omega*a) = class(a) + 1 for
 every a, which pins every class.  Construction is O(p) in time and O(p)
 bytes.
+
+One field serves every order of its prime.  For d dividing the field's
+order L, class_d(a) = class_L(a) mod d, so FieldContext.for_order(d)
+derives the order-d context from the proven order-L array, over the whole
+array at once (bytes.translate for byte classes, integer-lane steps a
+chunk at a time for wider ones), and the proof holds for it as it stands.
+A sweep builds one field per prime, at the lcm of its orders.
 """
 
 from __future__ import annotations
@@ -180,17 +187,29 @@ class FieldContext:
         """A canonical representative of class alpha: omega^alpha mod p."""
         return pow(self.omega, alpha % self.d, self.p)
 
+    def for_order(self, d: int) -> FieldContext:
+        """The context of order d, a divisor of self.d, on the same field.
 
-def make_context(
-    p: int, d: int, *, max_p: int | None = None, guard=None
-) -> FieldContext:
-    """Build the field context for (p, d).
+        Its classes are class(a) mod d, reduced over the whole array
+        (_reduce_classes), so the proof that make_context ran on this
+        array holds for them too.  omega, f and theta are the ones
+        make_context(p, d) gives, and so is the array's type.
+        """
+        if d == self.d:
+            return self
+        if d < 2 or self.d % d:
+            raise ValueError(f"order {d} does not divide {self.d} (p={self.p})")
+        return _context(self.p, self.omega, d,
+                        _reduce_classes(self.index_table, self.p, self.d, d))
 
-    d is replaced by gcd(d, p-1) since d-th powers only depend on that gcd.
-    A reduced order of 1 means every unit is a d-th power; that case raises
-    DegenerateOrder (carrying the trivial answer) rather than producing a
-    context no solver accepts.  guard(p, d_eff), when given, runs after
-    these cheap checks and before the O(p) field is built.
+
+def reduced_order(p: int, d: int, *, max_p: int | None = None) -> int:
+    """gcd(d, p-1), after the cheap checks make_context runs on (p, d).
+
+    p must be prime and d positive.  A reduced order of 1 means every unit
+    is a d-th power; that case raises DegenerateOrder (carrying the trivial
+    answer) rather than producing a context no solver accepts.  p over the
+    cap (_max_p_limit) raises ScaleGuard.
     """
     if not is_prime(p):
         raise NotPrime(p)
@@ -202,23 +221,90 @@ def make_context(
     limit = _max_p_limit(max_p)
     if p > limit:
         raise ScaleGuard(f"p={p} exceeds the configured cap {limit}")
+    return d_eff
+
+
+def make_context(
+    p: int, d: int, *, max_p: int | None = None, guard=None
+) -> FieldContext:
+    """Build the field context for (p, d).
+
+    d is replaced by gcd(d, p-1) (reduced_order, which also runs the cheap
+    checks), since d-th powers only depend on that gcd.  guard(p, d_eff),
+    when given, runs after those checks and before the O(p) field is built.
+    """
+    d_eff = reduced_order(p, d, max_p=max_p)
     if guard is not None:
         guard(p, d_eff)
-
     omega = smallest_primitive_root(p)
     _require_generator(p, omega)
-    classes = _power_classes(p, omega, d_eff)
+    return _context(p, omega, d_eff, _power_classes(p, omega, d_eff))
 
-    f = (p - 1) // d_eff
-    theta = ((p - 1) // 2) % d_eff
-    expected_theta = 0 if f % 2 == 0 else d_eff // 2
+
+def _context(p: int, omega: int, d: int, classes: bytearray | array) -> FieldContext:
+    """The context of order d over a proven class array, with f and theta."""
+    f = (p - 1) // d
+    theta = ((p - 1) // 2) % d
+    expected_theta = 0 if f % 2 == 0 else d // 2
     if theta != expected_theta:
         raise SanityFailure(
-            f"theta={theta} contradicts the parity rule for p={p}, d={d_eff}"
+            f"theta={theta} contradicts the parity rule for p={p}, d={d}"
         )
-    return FieldContext(
-        p=p, omega=omega, d=d_eff, f=f, theta=theta, index_table=classes
-    )
+    return FieldContext(p=p, omega=omega, d=d, f=f, theta=theta, index_table=classes)
+
+
+def _class_array(d: int, p: int) -> bytearray | array:
+    """A zeroed class array for order d: one byte per residue for d < 2^8.
+
+    Wider orders take 'H' lanes, and 'I' lanes from 2^15, so that every
+    label up to d leaves a spare top bit in its lane (_lane_add).
+    """
+    if d < 1 << 8:
+        return bytearray(p)
+    return array("H" if d < 1 << 15 else "I", [0]) * p
+
+
+def _reduce_classes(
+    classes: bytearray | array, p: int, big: int, d: int
+) -> bytearray | array:
+    """class(a) mod d for every residue, from the classes of order big.
+
+    d divides big.  Byte classes are reduced by one bytes.translate.  Wider
+    classes are reduced a chunk at a time in integer lanes: each lane at
+    least m * 2^k loses m * 2^k, for k = K .. 0, which leaves it below m.
+    For a byte-wide result m is the largest d * 2^j up to 256, and the low
+    byte of each lane is kept and translated mod d (when m is 256 the low
+    byte is already the class mod 256, and no lane step runs); otherwise m
+    is d.  No Python step runs per residue.
+    """
+    if type(classes) is bytearray:
+        return classes.translate(_mod_bytes(d))
+    out = _class_array(d, p)
+    bits, width = _lane_bits(classes), memoryview(out).itemsize
+    lane = bits // 8
+    m = d << ((256 // d).bit_length() - 1) if width == 1 else d
+    steps = [] if width == 1 and m == 256 else [m]
+    while steps and 2 * steps[-1] < big:
+        steps.append(2 * steps[-1])
+    # the bytes of each lane that the result keeps
+    low = 0 if sys.byteorder == "little" else lane - width
+    target = memoryview(out).cast("B")
+    for x0, x1, ones in _chunks(p, bits):
+        x = _as_int(classes[x0:x1])
+        for t in reversed(steps):  # every lane is below 2t here
+            x = _lane_add(x, 0, ones, bits, 0, t, t)
+        raw = x.to_bytes((x1 - x0) * lane, sys.byteorder)
+        if width == lane:
+            target[x0 * width : x1 * width] = raw
+            continue
+        for k in range(width):
+            target[x0 * width + k : x1 * width : width] = raw[low + k :: lane]
+    return out if m == d else out.translate(_mod_bytes(d))
+
+
+def _mod_bytes(d: int) -> bytes:
+    """The bytes.translate table taking each byte b to b mod d, for d < 256."""
+    return (bytes(range(d)) * (256 // d + 1))[:256]
 
 
 def _power_classes(p: int, omega: int, d: int) -> bytearray | array:
@@ -253,11 +339,7 @@ def _power_classes(p: int, omega: int, d: int) -> bytearray | array:
     if pow(omega, half, p) != p - 1:
         raise SanityFailure(f"omega={omega}: omega^{half} is not -1 mod {p}")
     _require_generator(p, omega)
-    if d < 1 << 8:
-        classes: bytearray | array = bytearray(p)
-    else:
-        # a spare top bit per lane lets _lane_add compare without carries
-        classes = array("H" if d < 1 << 15 else "I", [0]) * p
+    classes = _class_array(d, p)
     seed = min(half, _SEED_POWERS)
     size = min(_WALK_BLOCK, seed)
     run = [1] * size

@@ -4,18 +4,28 @@ A sweep walks primes in ascending order and, for each admissible order d
 (every divisor of p-1 that is at least 2, or a single requested one),
 solves all classes and emits one record.  Records are written incrementally
 in ascending (p, d) order so interrupted runs can resume by skipping keys
-already present in the output file.  Worker processes fan out over (p, d)
-jobs; the writer consumes results in submission order, which keeps the
-output deterministic regardless of the worker count.
+already present in the output file.  Worker processes fan out over primes:
+one job solves every order of its prime.  The job first runs each order's
+cheap checks and price guard, then builds one field of p at the lcm L of
+the orders that pass (prime_fields), and derives each order's context from
+it (FieldContext.for_order) instead of building a field per order.  An
+order refused by its guard, or every order when the shared field cannot be
+built, falls back to building its own context, so each failure is still
+reported against its own (p, d) key and the prime's other orders still
+print.  The writer consumes results in submission order, which keeps the
+output deterministic regardless of the worker count.  A record's elapsed
+counts its own work, from deriving its context; the shared field's build
+time is added to the first record of the prime answered from it.
 
 verify_level "fast" compares solve's two exact routes, as solve always
 does: the walks on the class digraph against the n(k, v) recurrence at
-f >= 3, and against the +-1 closed form at f <= 2.  A record is emitted
-only when they agree on every class; otherwise the key fails.  "full"
-additionally checks every class against the brute-force oracle (which
-never supplies an answer), the series-side valuation for every nontrivial
-class (a class whose scan gives up counts as off) and the low-order count
-identities (both grow the recurrence rows on demand, at every f), the
+f >= 3, and against the +-1 closed form at f <= 2, where only the table is
+priced.  A record is emitted only when they agree on every class;
+otherwise the key fails.  "full" additionally checks every class against
+the brute-force oracle (which never supplies an answer), the series-side
+valuation for every nontrivial class (a class whose scan gives up counts
+as off) and the low-order count identities (both grow the recurrence rows
+on demand, at every f, so the recurrence is priced at every f), the
 classical table identities, and (for d = 3 or 4) the closed forms and the
 formula tables.
 """
@@ -24,16 +34,21 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterable, Iterator, TextIO
 
 from . import closedform, cyclotomy, oracle, series, waring
 from .errors import AllZeroToOrder, CyclomodError, ScaleGuard
-from .ffield import _max_p_limit, prime_factors, primes_in_range
+from .ffield import (
+    FieldContext, _max_p_limit, make_context, prime_factors, primes_in_range,
+    reduced_order,
+)
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +122,40 @@ def record_keys(
     ]
 
 
+def prime_orders(keys: Iterable[tuple[int, int]]) -> list[tuple[int, list[int]]]:
+    """Ascending (p, d) keys grouped by prime: (p, [its orders, ascending])."""
+    return [(p, [d for _, d in group]) for p, group in groupby(keys, lambda k: k[0])]
+
+
+def prime_fields(
+    p: int, orders: Iterable[int], verify_level: str, max_p: int | None = None
+) -> dict[int, FieldContext]:
+    """The one field of p that each order's context derives from.
+
+    Each order d runs make_context's cheap checks (reduced_order) and the
+    price guard of verify_level ("full" reads the rows past k = 1, so it
+    is charged the recurrence at every f).  One field is built at the lcm
+    of the orders that pass, and each of them maps to it.  An order that
+    fails is left out, and so is every order when the shared field cannot
+    be built: those build their own context, which raises their own error.
+    """
+    guard = waring.solver_guard(verify_level == "full")
+    passed = []
+    for d in orders:
+        try:
+            guard(p, reduced_order(p, d, max_p=max_p))
+        except Exception:  # raised again, keyed, when d builds its own context
+            continue
+        passed.append(d)
+    if not passed:
+        return {}
+    try:
+        field = make_context(p, math.lcm(*passed), max_p=max_p)
+    except Exception:
+        return {}
+    return dict.fromkeys(passed, field)
+
+
 def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     """The verification battery behind verify_level=full and the verify command."""
     checks: list[CheckResult] = []
@@ -162,12 +211,18 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
         )
     )
 
+    # m(2, v) = p * (v, theta), and m(3, v) = p * sum_i (v, i) * (i, theta)
+    # plus f * m(1, v) when theta = 0, read off the columns in O(nnz)
+    into_theta = dict(table.column(theta))
+    walk2 = [0] * d
+    for i, c in into_theta.items():
+        for v, c_vi in table.column(i):
+            walk2[v] += c_vi * c
     low_bad = []
     for v in range(d):
-        if seq.n(2, v) + f * f != p * table.counts[v][theta]:
+        if seq.n(2, v) + f * f != p * into_theta.get(v, 0):
             low_bad.append(("k=2", v))
-        walk2 = sum(table.counts[v][i] * table.counts[i][theta] for i in range(d))
-        expect3 = p * walk2 + (f * (seq.n(1, v) + f) if theta == 0 else 0)
+        expect3 = p * walk2[v] + (f * (seq.n(1, v) + f) if theta == 0 else 0)
         if seq.n(3, v) + f ** 3 != expect3:
             low_bad.append(("k=3", v))
     checks.append(
@@ -203,11 +258,23 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
 
 
 def solve_single(
-    p: int, d: int, verify_level: str, max_p: int | None = None
+    p: int,
+    d: int,
+    verify_level: str,
+    max_p: int | None = None,
+    field: FieldContext | None = None,
 ) -> SweepRecord:
-    """Solve one (p, d) pair and run the checks for the requested level."""
+    """Solve one (p, d) pair and run the checks for the requested level.
+
+    field, when given, is a field of p whose order d divides, already
+    priced for d (prime_fields): the order-d context is derived from it.
+    Otherwise the context is built here, priced as prime_fields would.
+    """
     start = time.perf_counter()
-    ctx = waring.solver_context(p, d, max_p=max_p)
+    if field is None:
+        ctx = waring.solver_context(p, d, max_p=max_p, rows=verify_level == "full")
+    else:
+        ctx = field.for_order(d)
     solution = waring.solve(ctx)
     closed_match: bool | None = None
     if verify_level == "full":
@@ -318,12 +385,25 @@ def scan_completed(path: str, fmt: str) -> set[tuple[int, int]]:
     return done
 
 
-def _solve_job(args: tuple[int, int, str, int]):
-    p, d, verify_level, max_p = args
-    try:
-        return ("ok", solve_single(p, d, verify_level, max_p))
-    except Exception as exc:  # whatever the type, the failure stays keyed
-        return ("err", (p, d), f"{type(exc).__name__}: {exc}")
+def _prime_job(args: tuple[int, list[int], str, int]) -> list[tuple]:
+    """Every order of one prime, from one shared field, each outcome keyed."""
+    p, orders, verify_level, max_p = args
+    start = time.perf_counter()
+    fields = prime_fields(p, orders, verify_level, max_p)
+    field_ms = int((time.perf_counter() - start) * 1000)
+    outcomes = []
+    for d in orders:
+        field = fields.get(d)
+        try:
+            record = solve_single(p, d, verify_level, max_p, field)
+        except Exception as exc:  # whatever the type, the failure stays keyed
+            outcomes.append(("err", (p, d), f"{type(exc).__name__}: {exc}"))
+            continue
+        if field is not None and field_ms:  # the first record answered from it
+            record = replace(record, elapsed=record.elapsed + field_ms)
+            field_ms = 0
+        outcomes.append(("ok", record))
+    return outcomes
 
 
 def run_sweep(
@@ -358,13 +438,15 @@ def run_sweep(
         out.flush()
 
     def results() -> Iterable:
-        tasks = [(p, d, verify_level, max_p) for p, d in keys]
+        tasks = [(p, orders, verify_level, max_p) for p, orders in prime_orders(keys)]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 # map() preserves submission order: it is the reorder buffer.
-                yield from pool.map(_solve_job, tasks, chunksize=4)
+                for outcomes in pool.map(_prime_job, tasks):
+                    yield from outcomes
         else:
-            yield from map(_solve_job, tasks)
+            for outcomes in map(_prime_job, tasks):
+                yield from outcomes
 
     for outcome in results():
         if outcome[0] == "err":

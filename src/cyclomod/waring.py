@@ -30,7 +30,10 @@ f = 2), so solve() compares the walks with the closed form
 closedform.small_f_lengths instead: the powers are +-1 there, and the
 answer is proved from p and omega alone, without the table.
 The rows still start, with the row-sum check, and grow on demand for the
-callers that read n(k, v).
+callers that read n(k, v).  The recurrence's price (recurrence_cells) is
+charged before a row past k = 1 is grown, and before the field of any
+caller that reads those rows; at f <= 2 solve itself is charged only the
+table's price (require_solve_fits).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import closedform
-from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table
+from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table, require_table_fits
 from .errors import InternalDisagreement, SanityFailure, ScaleGuard
 from .ffield import FieldContext, make_context
 
@@ -51,33 +54,31 @@ class NSequence:
     as m(k, v) - f^k.  Each nonzero m(k, l) is pushed along column l of the
     table, f * m(k-1, 0) is added at theta, and exact zeros are dropped.
     first_k[v] is the least k with m(k, v) != 0 so far, or None.  The shift
-    needs every table row to sum to f - [v == theta], checked once
-    (SanityFailure).  Each new row must also keep the count of all f^k
-    ordered k-tuples: f/p * sum_v m(k, v) of them sum to a unit and
-    f/p * m(k-1, 0) to 0, so
+    needs every table row to sum to f - [v == theta], checked once from the
+    flat column tuples (SanityFailure).  Each new row must also keep the
+    count of all f^k ordered k-tuples: f/p * sum_v m(k, v) of them sum to a
+    unit and f/p * m(k-1, 0) to 0, so
 
         sum_v m(k, v) + m(k-1, 0) = p * f^(k-1)
 
     (SanityFailure otherwise).  It holds while every column l of the table
-    sums to f - [l == 0], which the row sums do not show.  A context over
-    MAX_CELLS (recurrence_cells) is refused with ScaleGuard before any row
-    is built.
+    sums to f - [l == 0], which the row sums do not show.  Rows 0 and 1
+    cost nothing; a context over MAX_CELLS (recurrence_cells) is refused
+    with ScaleGuard before any row past k = 1 is built.
     """
 
     def __init__(self, table: CyclotomyTable, k_max: int = 1):
         ctx = table.ctx
         p, d, f, theta = ctx.p, ctx.d, ctx.f, ctx.theta
-        require_recurrence_fits(p, d)
         self.table = table
         self._p, self._d, self._f, self._theta = p, d, f, theta
-        self._columns: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-        for v, support in enumerate(table.row_supports):
-            total = sum(c for _, c in support)
+        sums = [0] * d
+        for v, c in zip(table.col_rows, table.col_counts):
+            sums[v] += c
+        for v, total in enumerate(sums):
             if total != f - (v == theta):
                 raise SanityFailure(f"row {v} of the table sums to {total}, "
                                     f"not {f - (v == theta)} (p={p}, d={d})")
-            for l, c in support:
-                self._columns[l].append((v, c))
         self._m: list[dict[int, int]] = [{}, {theta: p}]  # m(k, .) by k
         self._fk = [1, f]  # f^k alongside each row
         self.first_k: list[int | None] = [None] * d
@@ -114,15 +115,20 @@ class NSequence:
         With until_covered, stop as soon as every class has entered the
         support, so first_k is complete without computing a row past it.
         """
-        columns, first, rows, fks = self._columns, self.first_k, self._m, self._fk
+        first, rows, fks = self.first_k, self._m, self._fk
         p, f, theta = self._p, self._f, self._theta
+        if len(rows) == 2 <= k_max:
+            require_recurrence_fits(p, self._d)  # the first row past k = 1
+        starts = self.table.col_starts
+        col_rows, col_counts = self.table.col_rows, self.table.col_counts
         while len(rows) <= k_max and (self._unset or not until_covered):
             k = len(rows)
             before, prev = rows[-2], rows[-1]
             acc: dict[int, int] = {}
             get = acc.get
             for l, value in prev.items():
-                for v, c in columns[l]:
+                a, b = starts[l], starts[l + 1]
+                for v, c in zip(col_rows[a:b], col_counts[a:b]):
                     acc[v] = get(v, 0) + c * value
             if 0 in before:
                 acc[theta] = get(theta, 0) + f * before[0]
@@ -172,11 +178,11 @@ def recurrence_cells(p: int, d: int) -> int:
     """The recurrence's worst case for order d mod p, in cells.
 
     solve may grow every row up to k = d at f >= 3, and the callers that
-    read n(k, v) (period, series, the full checks) at every f; the price is
-    charged at every f, so at f <= 2, where solve grows no row past k = 1,
-    it overstates solve's own work.  Memory: d stored rows, each the
-    support of m(k, .) and so at most d values, each up to d*log2(f) bits
-    since values grow like f^k, priced in 64-bit words.
+    read n(k, v) (period, series, the full checks) at every f.  At f <= 2
+    solve grows no row past k = 1, so require_solve_fits charges it only
+    the table there.  Memory: d stored rows, each the support of m(k, .)
+    and so at most d values, each up to d*log2(f) bits since values grow
+    like f^k, priced in 64-bit words.
     Work: one multiply-add per row and nonzero table entry, of which there
     are at most min(d*d, p-2), priced one cell each.  Both terms are upper
     bounds, since rows are stored and propagated on their support only (one
@@ -198,9 +204,36 @@ def require_recurrence_fits(p: int, d: int) -> None:
         )
 
 
-def solver_context(p: int, d: int, *, max_p: int | None = None) -> FieldContext:
-    """make_context, refusing an oversized recurrence before the O(p) field."""
-    return make_context(p, d, max_p=max_p, guard=require_recurrence_fits)
+def require_solve_fits(p: int, d: int) -> None:
+    """Refuse, with ScaleGuard, a reduced order whose solve passes MAX_CELLS.
+
+    At f <= 2 solve reads only the table, the walks and the closed form,
+    so it is charged the table's price (require_table_fits); at f >= 3 it
+    grows the recurrence, and is charged the recurrence's price.
+    """
+    if (p - 1) // d <= 2:
+        require_table_fits(p, d)
+    else:
+        require_recurrence_fits(p, d)
+
+
+def solver_guard(rows: bool):
+    """The price guard of a caller that solves, and with rows reads n(k, v).
+
+    Callers that read the rows past k = 1 (period, series, the full
+    checks) are charged the recurrence price at every f.
+    """
+    return require_recurrence_fits if rows else require_solve_fits
+
+
+def solver_context(
+    p: int, d: int, *, max_p: int | None = None, rows: bool = False
+) -> FieldContext:
+    """make_context, refusing an order priced over MAX_CELLS before the O(p) field.
+
+    The price is solver_guard(rows)'s.
+    """
+    return make_context(p, d, max_p=max_p, guard=solver_guard(rows))
 
 
 @dataclass(frozen=True)
@@ -241,10 +274,10 @@ def solve(ctx: FieldContext) -> WaringSolution:
     true table neither route is ever silent, so that is the headline
     correctness contract, not a recoverable condition.  Brute force only
     checks the answers (sweep.full_checks); it never supplies one.
-    A context the recurrence could not handle is refused before its table
-    is counted, at every f.
+    A context priced over MAX_CELLS (require_solve_fits) is refused before
+    its table is counted.
     """
-    require_recurrence_fits(ctx.p, ctx.d)
+    require_solve_fits(ctx.p, ctx.d)
     table = compute_table(ctx)
     seq = NSequence(table)
     p, d, theta = ctx.p, ctx.d, ctx.theta

@@ -129,11 +129,21 @@ def definitional_cyclotomic_counts(ctx: FieldContext) -> list[list[int]]:
 
 
 def table_from_counts(ctx: FieldContext, counts) -> CyclotomyTable:
-    """A table holding the given dense counts, for doctored-table tests."""
-    supports = tuple(
-        tuple((j, c) for j, c in enumerate(row) if c) for row in counts
+    """A table holding the given dense counts, for doctored-table tests.
+
+    The nonzero entries are laid out column by column, as compute_table
+    lays them out, so a doctored table reaches NSequence and the walks.
+    """
+    entries = sorted((j, i, c) for i, row in enumerate(counts)
+                     for j, c in enumerate(row) if c)
+    starts = tuple(sum(1 for j, _, _ in entries if j < col)
+                   for col in range(len(counts) + 1))
+    return CyclotomyTable(
+        ctx=ctx,
+        col_starts=starts,
+        col_rows=tuple(i for _, i, _ in entries),
+        col_counts=tuple(c for _, _, c in entries),
     )
-    return CyclotomyTable(ctx=ctx, row_supports=supports)
 
 
 def dense_rows(table: CyclotomyTable, k_max: int) -> list[list[int]]:

@@ -289,9 +289,80 @@ def test_half_walk_and_lane_tally_match_the_oracles():
         for d in admissible_orders(p):
             ctx = make_context(p, d)
             assert list(ctx.index_table) == walk_classes(p, ctx.omega, d), d
-            assert compute_table(ctx).row_supports == counter_row_supports(ctx), d
+            table = compute_table(ctx)
+            rows = counter_row_supports(ctx)
+            assert table.row_supports == rows, d
+            # the flat column slices are the transpose of the row view
+            columns = [[] for _ in range(d)]
+            for i, row in enumerate(rows):
+                for j, c in row:
+                    columns[j].append((i, c))
+            assert [list(table.column(j)) for j in range(d)] == columns, d
 
     check()
+
+
+def _same_context(derived, built):
+    assert (derived.p, derived.omega, derived.d, derived.f, derived.theta) == (
+        built.p, built.omega, built.d, built.f, built.theta)
+    assert type(derived.index_table) is type(built.index_table)
+    assert getattr(derived.index_table, "typecode", None) == getattr(
+        built.index_table, "typecode", None)
+    assert bytes(derived.index_table) == bytes(built.index_table)
+
+
+def test_derived_orders_equal_their_own_fields_property():
+    # a context derived from a field of any multiple L of d is the one
+    # make_context(p, d) builds: the same omega, f and theta, and a class
+    # array of the same type with the same bytes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.sampled_from(primes_in_range(3, 3000)))
+        big = draw(st.sampled_from(admissible_orders(p)))
+        divisors = [d for d in range(2, big + 1) if big % d == 0]
+        return p, big, draw(st.sampled_from(divisors))
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((1543, 1542, 2))  # 'H' lanes to bytes: m = 256
+    @hypothesis.example((1543, 1542, 3))  # m = 192: two lane steps
+    @hypothesis.example((1543, 1542, 257))  # 'H' to 'H'
+    @hypothesis.example((1543, 514, 257))
+    @hypothesis.example((4001, 4000, 2))
+    @hypothesis.example((4001, 4000, 125))  # m = 250
+    @hypothesis.example((4001, 4000, 250))  # m = 250 = d: no translate
+    @hypothesis.example((4001, 4000, 800))
+    @hypothesis.example((4001, 2000, 400))
+    @hypothesis.example((1021, 255, 5))  # byte lanes: one translate
+    def check(case):
+        p, big, d = case
+        field = make_context(p, big)
+        _same_context(field.for_order(d), make_context(p, d))
+
+    check()
+    # every order of p from one field of order p - 1
+    for p in (1543, 4001):
+        field = make_context(p, p - 1)
+        for d in admissible_orders(p):
+            _same_context(field.for_order(d), make_context(p, d))
+
+
+def test_derived_orders_from_four_byte_lanes():
+    field = make_context(65537, 65536)
+    assert field.index_table.typecode == "I"
+    for d in (2, 255 + 1, 4096, 32768):
+        _same_context(field.for_order(d), make_context(65537, d))
+
+
+def test_derived_order_must_divide_the_field_order():
+    field = make_context(13, 6)
+    assert field.for_order(6) is field
+    for d in (4, 12, 1, 0):
+        with pytest.raises(ValueError, match="does not divide"):
+            field.for_order(d)
 
 
 def _count_fill_stages(monkeypatch) -> Counter:

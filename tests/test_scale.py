@@ -64,11 +64,12 @@ def test_large_p_with_moderate_d_is_solved():
 
 
 def test_recurrence_guard_refuses_before_allocating():
-    # d = p - 1 = 20010: d stored rows of d values alone would be 4e8
+    # d = p - 1 = 20010: at f = 1 sd is charged its table alone, and the
+    # 20010 x 20010 table passes the cap, as the recurrence would too
     done = run_limited(["sd", "-p", "20011", "-d", "20010"], 256)
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert done.stderr == (
-        "error: p=20011, d=20010: the recurrence may need 800780190 cells, "
-        "over the cap of 30000000\n"
+        "error: p=20011, d=20010: the 20010 x 20010 table would need "
+        "400400100 cells, over the cap of 30000000\n"
     )

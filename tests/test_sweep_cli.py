@@ -7,6 +7,7 @@ import pytest
 
 from cyclomod import ffield, make_context, solve
 from cyclomod.cli import main
+from cyclomod.closedform import small_f_lengths
 from cyclomod.errors import CyclomodError, InputError, ScaleGuard
 from cyclomod.ffield import primes_in_range
 from cyclomod.series import MAX_SERIES_ORDER
@@ -186,10 +187,10 @@ def test_sweep_strict_aborts_on_failure(monkeypatch, capsys):
 
     real = sweep_module.solve_single
 
-    def failing(p, d, verify_level, max_p=None):
+    def failing(p, d, verify_level, max_p=None, field=None):
         if (p, d) == (7, 3):
             raise CyclomodError("synthetic failure")
-        return real(p, d, verify_level, max_p)
+        return real(p, d, verify_level, max_p, field)
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
     with pytest.raises(CyclomodError):
@@ -208,10 +209,10 @@ def test_sweep_reports_any_exception_by_key(monkeypatch, capsys):
 
     real = sweep_module.solve_single
 
-    def failing(p, d, verify_level, max_p=None):
+    def failing(p, d, verify_level, max_p=None, field=None):
         if (p, d) == (7, 3):
             raise RuntimeError("synthetic bug")
-        return real(p, d, verify_level, max_p)
+        return real(p, d, verify_level, max_p, field)
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
     records = list(run_sweep(3, 11, verify_level="fast"))
@@ -228,6 +229,88 @@ def test_sweep_reports_any_exception_by_key(monkeypatch, capsys):
 
 
 # --- CLI surface ---
+
+
+def _count_fields(monkeypatch) -> list:
+    """Record the (p, d) of every power-class array built."""
+    built = []
+    real = ffield._power_classes
+
+    def counting(p, omega, d):
+        built.append((p, d))
+        return real(p, omega, d)
+
+    monkeypatch.setattr(ffield, "_power_classes", counting)
+    return built
+
+
+def test_sweep_builds_one_field_per_prime(monkeypatch):
+    built = _count_fields(monkeypatch)
+    records = list(run_sweep(3, 100, verify_level="fast"))
+    primes = primes_in_range(3, 100)
+    assert [p for p, _ in built] == primes
+    # each field is built at the lcm of the prime's orders, here p - 1
+    assert built == [(p, p - 1) for p in primes]
+    assert len(records) == sum(len(admissible_orders(p)) for p in primes)
+    built.clear()
+    assert main(["verify", "--pmin", "3", "--pmax", "30"]) == 0
+    assert built == [(p, p - 1) for p in primes_in_range(3, 30)]
+
+
+def test_a_refused_order_is_keyed_and_left_out_of_the_shared_field(
+    monkeypatch, capsys
+):
+    import cyclomod.waring as waring_module
+
+    real = waring_module.require_solve_fits
+
+    def refuse_7_3(p, d):
+        if (p, d) == (7, 3):
+            raise ScaleGuard("synthetic price")
+        real(p, d)
+
+    monkeypatch.setattr(waring_module, "require_solve_fits", refuse_7_3)
+    built = _count_fields(monkeypatch)
+    keys = [(r.p, r.d) for r in run_sweep(7, 7, verify_level="fast")]
+    assert keys == [(7, 2), (7, 6)]
+    assert built == [(7, 6)]  # 3 passed no guard, so it built nothing
+    assert capsys.readouterr().err == (
+        "sweep: (p=7, d=3) failed: ScaleGuard: synthetic price\n"
+    )
+
+
+def test_a_failed_shared_field_leaves_each_order_its_own(monkeypatch, capsys):
+    # the field at the lcm fails: every order builds its own context, and
+    # only the order whose own field fails too is reported
+    built = _count_fields(monkeypatch)
+    counting = ffield._power_classes
+
+    def no_order_6(p, omega, d):
+        if d == 6:
+            raise RuntimeError("synthetic field failure")
+        return counting(p, omega, d)
+
+    monkeypatch.setattr(ffield, "_power_classes", no_order_6)
+    keys = [(r.p, r.d) for r in run_sweep(7, 7, verify_level="fast")]
+    assert keys == [(7, 2), (7, 3)]
+    assert built == [(7, 2), (7, 3)]
+    assert capsys.readouterr().err == (
+        "sweep: (p=7, d=6) failed: RuntimeError: synthetic field failure\n"
+    )
+
+
+def test_sweep_charges_the_shared_field_to_one_record(monkeypatch):
+    import cyclomod.sweep as sweep_module
+
+    real = sweep_module.prime_fields
+
+    def slow(*args):
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(sweep_module, "prime_fields", slow)
+    elapsed = [r.elapsed for r in run_sweep(13, 13, verify_level="fast")]
+    assert elapsed[0] >= 200 and max(elapsed[1:]) < 200
 
 
 def test_cli_gd(capsys):
@@ -325,15 +408,25 @@ def test_oversized_recurrence_refused_before_the_field(monkeypatch, capsys):
     def no_field(*args):
         raise AssertionError("the power-class array was built")
 
-    monkeypatch.setattr(ffield, "_power_classes", no_field)
-    for command in (["gd"], ["sd"], ["period"], ["verify"], ["series", "-j", "1"]):
-        assert main(command + ["-p", "4001", "-d", "4000"]) == 2, command
-        assert capsys.readouterr().err == (
-            "error: p=4001, d=4000: the recurrence may need 31996000 cells, "
-            "over the cap of 30000000\n"
-        )
-    with pytest.raises(ScaleGuard, match="the recurrence may need"):
-        solve_single(4001, 4000, "fast")
+    # the commands that grow the rows past k = 1 are charged the recurrence
+    with monkeypatch.context() as patch:
+        patch.setattr(ffield, "_power_classes", no_field)
+        for command in (["period"], ["verify"], ["series", "-j", "1"]):
+            assert main(command + ["-p", "4001", "-d", "4000"]) == 2, command
+            assert capsys.readouterr().err == (
+                "error: p=4001, d=4000: the recurrence may need 31996000 cells, "
+                "over the cap of 30000000\n"
+            )
+        with pytest.raises(ScaleGuard, match="the recurrence may need"):
+            solve_single(4001, 4000, "full")
+    # at f = 1 solve reads only the table, whose 1.6e7 cells fit
+    assert main(["gd", "-p", "4001", "-d", "4000"]) == 0
+    assert capsys.readouterr().out == "4000\n"
+    assert main(["sd", "-p", "4001", "-d", "4000", "-a", "4000"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["g"], data["class"], data["s"]) == ("4000", "2000", "4000")
+    record = solve_single(4001, 4000, "fast")
+    assert record.per_class_s == small_f_lengths(4001, 4000, record.omega)
 
 
 def test_oversized_table_refused_before_the_field(monkeypatch, capsys):
@@ -574,7 +667,7 @@ def test_cli_jobs_flag_beats_env(monkeypatch, capsys):
 def test_cli_bare_cyclomod_error_exits_1(monkeypatch, capsys):
     import cyclomod.sweep as sweep_module
 
-    def failing(p, d, verify_level, max_p=None):
+    def failing(p, d, verify_level, max_p=None, field=None):
         raise CyclomodError("synthetic failure")
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cyclomod import (
@@ -438,7 +440,8 @@ def test_rectangle_move_at_f_2_disagrees_with_the_closed_form(monkeypatch):
 def test_closed_form_route_at_small_f_property():
     # solve's answer at f <= 2 is the closed form, the recurrence grown to
     # full depth gives the same vector, and so does brute force below 2000;
-    # keys over the recurrence price are still refused, as at every f
+    # solve is charged only its table there, but the rows past k = 1 are
+    # still refused over the recurrence price
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -446,25 +449,85 @@ def test_closed_form_route_at_small_f_property():
     @hypothesis.given(
         st.sampled_from(primes_in_range(5, 3000)), st.sampled_from([1, 2]), st.data()
     )
-    @hypothesis.example(2393, 2, st.data())  # the least refused f = 2 key
+    @hypothesis.example(2393, 2, st.data())  # the least f = 2 key over it
     def check(p, f, data):
         d = (p - 1) // f
         ctx = make_context(p, d)
         closed = small_f_lengths(p, d, ctx.omega)
-        if recurrence_cells(p, d) > MAX_CELLS:
-            with pytest.raises(ScaleGuard, match="the recurrence may need"):
-                solve(ctx)
-            return
         solution = solve(ctx)
         assert solution.per_class_s == closed
         assert solution.method == "closed-form"
-        assert by_recurrence(solution.seq.table) == list(closed)
+        if recurrence_cells(p, d) > MAX_CELLS:
+            with pytest.raises(ScaleGuard, match="the recurrence may need"):
+                solution.seq.extend(2)
+        else:
+            assert by_recurrence(solution.seq.table) == list(closed)
         if p < 2000:
             sample = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3))
             for alpha in sample:
                 assert brute_s(ctx, ctx.element_of_class(alpha)) == closed[alpha]
 
     check()
+
+
+def sumset_lengths(ctx):
+    """Every class's least k from one growth of the p-bit sumset of the powers.
+
+    All elements of a class need the same k, so class alpha is read at its
+    representative omega^alpha mod p; no table and no class array is read.
+    """
+    p, d = ctx.p, ctx.d
+    powers = {pow(x, d, p) for x in range(1, p)}
+    full = (1 << p) - 1
+    reach = sum(1 << x for x in powers)
+    alpha_at = {pow(ctx.omega, alpha, p): alpha for alpha in range(d)}
+    todo = sum(1 << r for r in alpha_at)
+    lengths = [None] * d
+    k = 1
+    while todo:
+        hit = reach & todo
+        todo ^= hit
+        while hit:
+            low = hit & -hit
+            lengths[alpha_at[low.bit_length() - 1]] = k
+            hit ^= low
+        grown = 0
+        for x in powers:  # the sums of one more power: reach + x, cyclically
+            grown |= (reach << x) | (reach >> (p - x))
+        reach = grown & full
+        k += 1
+    return tuple(lengths)
+
+
+def test_f_equal_2_keys_over_the_recurrence_price_are_answered(capsys):
+    # 75 f = 2 keys below 3000 are over the recurrence price; solve reads
+    # only their table, so each is answered, and the answer is the closed
+    # form and the sumset growth
+    over = [p for p in primes_in_range(3, 3000)
+            if recurrence_cells(p, (p - 1) // 2) > MAX_CELLS]
+    assert len(over) == 75 and over[0] == 2393
+    for p in over[:2] + over[-1:]:
+        ctx = make_context(p, (p - 1) // 2)
+        solution = solve(ctx)
+        assert solution.per_class_s == small_f_lengths(p, ctx.d, ctx.omega)
+        assert solution.per_class_s == sumset_lengths(ctx), p
+        worst = solution.per_class_s.index(solution.g)
+        for alpha in (1, 2, worst):  # brute force grows one sumset per class
+            s = brute_s(ctx, ctx.element_of_class(alpha))
+            assert s == solution.per_class_s[alpha], (p, alpha)
+    from cyclomod.cli import main
+
+    assert main(["sweep", "-p", "2393", "-d", "1196"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["g"] == str(max(small_f_lengths(2393, 1196, 3)))
+
+
+def test_sumset_growth_matches_brute_force():
+    for p, d in [(7, 3), (13, 6), (29, 14), (31, 15), (37, 9)]:
+        ctx = make_context(p, d)
+        assert sumset_lengths(ctx) == tuple(
+            brute_s(ctx, ctx.element_of_class(alpha)) for alpha in range(d))
 
 
 def test_small_f_lengths_refuses_other_orders():
@@ -504,21 +567,39 @@ def test_recurrence_guard_refuses_before_any_row():
     table = compute_table(ctx)
     assert sum(map(len, table.row_supports)) == 4001 - 2
     assert recurrence_cells(4001, 4000) == 4000 * (4000 + 3999) > MAX_CELLS
+    # rows 0 and 1 cost nothing; the first row past k = 1 is refused
+    seq = NSequence(table)
     with pytest.raises(ScaleGuard, match="the recurrence may need"):
-        NSequence(table)
+        seq.extend(2)
+    assert seq.k_max == 1
     with pytest.raises(ScaleGuard, match="the recurrence may need"):
-        solve(ctx)
+        NSequence(table, 2)
+    # solve grows no row at f = 1, so it answers from the closed form
+    solution = solve(ctx)
+    assert solution.per_class_s == small_f_lengths(4001, 4000, ctx.omega)
+    assert solution.seq.k_max == 1
 
 
-def test_solve_refuses_before_counting_the_table(monkeypatch):
+def _never_count_a_table(monkeypatch):
     import cyclomod.waring as waring_module
 
     def never(ctx):
         raise AssertionError("table counted for a refused context")
 
     monkeypatch.setattr(waring_module, "compute_table", never)
-    with pytest.raises(ScaleGuard):
-        solve(make_context(4001, 4000))
+
+
+def test_solve_refuses_before_counting_the_table(monkeypatch):
+    _never_count_a_table(monkeypatch)
+    # f = 3: the 1170 x 1170 table fits, the recurrence does not
+    with pytest.raises(ScaleGuard, match="the recurrence may need"):
+        solve(make_context(3511, 1170))
+
+
+def test_solve_at_small_f_is_charged_its_table_before_counting_it(monkeypatch):
+    _never_count_a_table(monkeypatch)
+    with pytest.raises(ScaleGuard, match="the 20010 x 20010 table would need"):
+        solve(make_context(20011, 20010))
 
 
 def test_recurrence_cells_price_wide_values():
