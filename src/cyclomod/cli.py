@@ -77,7 +77,8 @@ def _trivial_payload(exc: DegenerateOrder) -> dict:
 
 def cmd_gd(args) -> int:
     try:
-        ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
+        ctx = make_context(args.prime, args.order, max_p=args.max_p,
+                           guard=cyclotomy.require_table_fits)
         solution = waring.solve(ctx)
     except DegenerateOrder as exc:
         print(exc.trivial_g)
@@ -87,7 +88,8 @@ def cmd_gd(args) -> int:
 
 
 def cmd_sd(args) -> int:
-    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p)
+    ctx = make_context(args.prime, args.order, max_p=args.max_p,
+                       guard=cyclotomy.require_table_fits)
     solution = waring.solve(ctx)
     payload = {
         "p": str(ctx.p),
@@ -130,7 +132,8 @@ def cmd_cyclo(args) -> int:
 
 
 def cmd_period(args) -> int:
-    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p, rows=True)
+    ctx = make_context(args.prime, args.order, max_p=args.max_p,
+                       guard=periods.require_degree)
     table = cyclotomy.compute_table(ctx)
     seq = waring.NSequence(table, max(ctx.d - 1, 1))
     poly = periods.period_polynomial(seq)
@@ -146,10 +149,12 @@ def cmd_period(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.series_order is not None:
-        series.require_order(args.series_order)  # before the O(p) field
-    ctx = waring.solver_context(args.prime, args.order, max_p=args.max_p, rows=True)
-    order = args.series_order if args.series_order is not None else ctx.d + 2
+    def guard(p, d):  # the order and the table, before the O(p) field
+        series.require_order(d + 2 if args.series_order is None else args.series_order)
+        cyclotomy.require_table_fits(p, d)
+
+    ctx = make_context(args.prime, args.order, max_p=args.max_p, guard=guard)
+    order = ctx.d + 2 if args.series_order is None else args.series_order
     table = cyclotomy.compute_table(ctx)
     seq = waring.NSequence(table)
     result = series.i_series(seq, args.class_index, order)
@@ -252,12 +257,13 @@ def cmd_verify(args) -> int:
     keys = sweep.record_keys(pmin, pmax, args.order)
     for p, orders in sweep.prime_orders(keys):
         # one field per prime; an order it does not serve raises its own error
-        fields = sweep.prime_fields(p, orders, "full", args.max_p)
+        fields = sweep.prime_fields(p, orders, args.max_p)
         for d in orders:
             if d in fields:
                 ctx = fields[d].for_order(d)
             else:
-                ctx = waring.solver_context(p, d, max_p=args.max_p, rows=True)
+                ctx = make_context(p, d, max_p=args.max_p,
+                                   guard=cyclotomy.require_table_fits)
             for check in sweep.full_checks(waring.solve(ctx)):
                 total += 1
                 mark = "PASS" if check.passed else "FAIL"

@@ -32,12 +32,12 @@ from typing import Iterator, Sequence
 from .errors import ScaleGuard
 from .ffield import FieldContext
 
-#: Cap on the d x d-shaped memory and work one (p, d) may take, in cells:
-#: entries of the d x d table, or the recurrence's worst case
-#: (waring.recurrence_cells), one cell per stored 64-bit word and one per
-#: multiply-add.  Inputs over it are refused with ScaleGuard before anything
-#: d-sized is built.  d = p - 1 near 3060 needs 1.9e7 cells; p = 20011,
-#: d = 20010 would need 8e8.
+#: Cap on the memory and work one (p, d) may take, in cells.  The d x d
+#: table is priced d*d cells and refused with ScaleGuard from (p, d) alone,
+#: before anything d-sized is built: p = 20011, d = 20010 would need 4e8.
+#: The recurrence spends the same cap as a running budget, one cell per
+#: multiply-add and per stored 64-bit word (waring.NSequence), and is
+#: refused at the row that would pass it.
 MAX_CELLS = 3 * 10**7
 
 # Incidences are coded and tallied this many at a time, so every transient
@@ -122,9 +122,9 @@ def walk_lengths(
 def require_table_fits(p: int, d: int) -> None:
     """Refuse, with ScaleGuard, an order whose d x d table passes MAX_CELLS.
 
-    Its dense view would exceed the cap, and the recurrence needs at least
-    d*d cells.  Takes (p, d) alone, so make_context can run it as its guard
-    before the O(p) field is built.
+    Its dense view would exceed the cap.  Takes (p, d) alone, so every
+    caller that counts a table runs it as make_context's guard, before the
+    O(p) field is built.
     """
     if d * d > MAX_CELLS:
         raise ScaleGuard(

@@ -2,9 +2,10 @@
 
 Representation counts come from a dynamic program over residues (row k+1 is
 the cyclic convolution of row k with the d-th power indicator), and minimal
-representation lengths from direct sumset growth.  Nothing here touches
-cyclotomic numbers, so these results can check the exact solvers' answers;
-they never supply one.
+representation lengths from direct sumset growth: per residue (brute_s, the
+reference) or for every class in one growth (sumset_lengths).  Nothing here
+touches cyclotomic numbers, so these results can check the exact solvers'
+answers; they never supply one.
 
 Sumsets are held as p-bit integers (bit a set iff residue a is reachable);
 adding the power set is an OR of cyclic shifts.  That is still the naive
@@ -116,3 +117,29 @@ def brute_s(ctx: FieldContext, a: int) -> int:
             nxt |= (cur << s) | (cur >> (p - s))
         cur = nxt & full
     raise Unrepresentable(f"residue {a} not reached mod {p}")
+
+
+def sumset_lengths(ctx: FieldContext) -> tuple[int | None, ...]:
+    """Every class's least k from one growth of a p-bit sumset of the powers.
+
+    R_k, 0 and the sums of at most k powers, grows from R_0 = {0} as
+    R_{k+1} = R_k | (R_k + powers).  Every element of a class needs the same
+    k, so class alpha is read at omega^alpha mod p, and one growth answers
+    all d classes where brute_s grows one per residue.  It stops once every
+    class is reached, or once R_k stops growing, leaving the rest None.
+    """
+    p, powers = ctx.p, power_set(ctx)
+    todo = {ctx.element_of_class(alpha): alpha for alpha in range(ctx.d)}
+    lengths: list[int | None] = [None] * ctx.d
+    reach, k = 1, 0
+    while todo:
+        grown = reach
+        for x in powers:  # R_k + x, cyclically
+            grown |= (reach << x) | (reach >> (p - x))
+        grown &= (1 << p) - 1
+        if grown == reach:
+            break
+        reach, k = grown, k + 1
+        for r in [r for r in todo if reach >> r & 1]:
+            lengths[todo.pop(r)] = k
+    return tuple(lengths)

@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SanityFailure
+from .errors import SanityFailure, ScaleGuard
 from .waring import NSequence
+
+#: Cap on the degree d of the polynomial whose discriminant `period` prints:
+#: a fraction-free elimination whose integers widen with d and with log f.
+#: On a 2-vCPU host with CPython 3.11 and p near the default cap on p, it
+#: takes ~1.8 s at d = 40 and ~24 s at d = 60 (~8.7 s at d = 240 for f = 1),
+#: and past d = 40 it can pass CPython's 4300-digit int-to-text limit.
+MAX_PERIOD_DEGREE = 40
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,20 @@ class PeriodPolynomial:
     def reversed_coeffs(self) -> tuple[int, ...]:
         """Coefficients of T^d * G(1/T), ascending."""
         return tuple(reversed(self.coeffs))
+
+
+def require_degree(p: int, d: int) -> None:
+    """Refuse, with ScaleGuard, an order d over MAX_PERIOD_DEGREE.
+
+    Takes (p, d) alone, so make_context can run it before the O(p) field.
+    The cap is far below the table's (cyclotomy.require_table_fits), so it
+    prices the table too.
+    """
+    if d > MAX_PERIOD_DEGREE:
+        raise ScaleGuard(
+            f"p={p}, d={d}: the degree-{d} period polynomial is over the cap "
+            f"of {MAX_PERIOD_DEGREE}"
+        )
 
 
 def power_sums(seq: NSequence, m_max: int) -> list[int]:

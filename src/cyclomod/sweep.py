@@ -6,11 +6,11 @@ solves all classes and emits one record.  Records are written incrementally
 in ascending (p, d) order so interrupted runs can resume by skipping keys
 already present in the output file.  Worker processes fan out over primes:
 one job solves every order of its prime.  The job first runs each order's
-cheap checks and price guard, then builds one field of p at the lcm L of
-the orders that pass (prime_fields), and derives each order's context from
-it (FieldContext.for_order) instead of building a field per order.  An
-order refused by its guard, or every order when the shared field cannot be
-built, falls back to building its own context, so each failure is still
+cheap checks and its table's price, then builds one field of p at the lcm
+L of the orders that pass (prime_fields), and derives each order's context
+from it (FieldContext.for_order) instead of building a field per order.
+An order refused by its price, or every order when the shared field cannot
+be built, falls back to building its own context, so each failure is still
 reported against its own (p, d) key and the prime's other orders still
 print.  The writer consumes results in submission order, which keeps the
 output deterministic regardless of the worker count.  A record's elapsed
@@ -19,15 +19,15 @@ time is added to the first record of the prime answered from it.
 
 verify_level "fast" compares solve's two exact routes, as solve always
 does: the walks on the class digraph against the n(k, v) recurrence at
-f >= 3, and against the +-1 closed form at f <= 2, where only the table is
-priced.  A record is emitted only when they agree on every class;
-otherwise the key fails.  "full" additionally checks every class against
-the brute-force oracle (which never supplies an answer), the series-side
-valuation for every nontrivial class (a class whose scan gives up counts
-as off) and the low-order count identities (both grow the recurrence rows
-on demand, at every f, so the recurrence is priced at every f), the
-classical table identities, and (for d = 3 or 4) the closed forms and the
-formula tables.
+f >= 3, and against the +-1 closed form at f <= 2.  A record is emitted
+only when they agree on every class; otherwise the key fails.  "full"
+additionally checks every class against one brute-force sumset growth
+(which never supplies an answer), the series-side valuation for every
+nontrivial class (a class whose scan gives up counts as off) and the
+low-order count identities (both grow the recurrence rows on demand, at
+every f), the classical table identities, and (for d = 3 or 4) the closed
+forms and the formula tables.  Both levels price only the table before
+the field; the rows are charged as they grow (waring.NSequence).
 """
 
 from __future__ import annotations
@@ -128,22 +128,21 @@ def prime_orders(keys: Iterable[tuple[int, int]]) -> list[tuple[int, list[int]]]
 
 
 def prime_fields(
-    p: int, orders: Iterable[int], verify_level: str, max_p: int | None = None
+    p: int, orders: Iterable[int], max_p: int | None = None
 ) -> dict[int, FieldContext]:
     """The one field of p that each order's context derives from.
 
     Each order d runs make_context's cheap checks (reduced_order) and the
-    price guard of verify_level ("full" reads the rows past k = 1, so it
-    is charged the recurrence at every f).  One field is built at the lcm
-    of the orders that pass, and each of them maps to it.  An order that
-    fails is left out, and so is every order when the shared field cannot
-    be built: those build their own context, which raises their own error.
+    table's price (cyclotomy.require_table_fits), as every solving caller
+    does.  One field is built at the lcm of the orders that pass, and each
+    of them maps to it.  An order that fails is left out, and so is every
+    order when the shared field cannot be built: those build their own
+    context, which raises their own error.
     """
-    guard = waring.solver_guard(verify_level == "full")
     passed = []
     for d in orders:
         try:
-            guard(p, reduced_order(p, d, max_p=max_p))
+            cyclotomy.require_table_fits(p, reduced_order(p, d, max_p=max_p))
         except Exception:  # raised again, keyed, when d builds its own context
             continue
         passed.append(d)
@@ -178,14 +177,9 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
         )
     )
 
-    brute = [
-        oracle.brute_s(ctx, ctx.element_of_class(alpha)) for alpha in range(d)
-    ]
-    mismatches = [
-        (alpha, s, b)
-        for alpha, (s, b) in enumerate(zip(solution.per_class_s, brute))
-        if s != b
-    ]
+    brute = oracle.sumset_lengths(ctx)
+    mismatches = [(alpha, s, b) for alpha, (s, b)
+                  in enumerate(zip(solution.per_class_s, brute)) if s != b]
     checks.append(
         CheckResult(
             name="oracle-agreement",
@@ -272,7 +266,7 @@ def solve_single(
     """
     start = time.perf_counter()
     if field is None:
-        ctx = waring.solver_context(p, d, max_p=max_p, rows=verify_level == "full")
+        ctx = make_context(p, d, max_p=max_p, guard=cyclotomy.require_table_fits)
     else:
         ctx = field.for_order(d)
     solution = waring.solve(ctx)
@@ -389,7 +383,7 @@ def _prime_job(args: tuple[int, list[int], str, int]) -> list[tuple]:
     """Every order of one prime, from one shared field, each outcome keyed."""
     p, orders, verify_level, max_p = args
     start = time.perf_counter()
-    fields = prime_fields(p, orders, verify_level, max_p)
+    fields = prime_fields(p, orders, max_p)
     field_ms = int((time.perf_counter() - start) * 1000)
     outcomes = []
     for d in orders:

@@ -30,10 +30,9 @@ f = 2), so solve() compares the walks with the closed form
 closedform.small_f_lengths instead: the powers are +-1 there, and the
 answer is proved from p and omega alone, without the table.
 The rows still start, with the row-sum check, and grow on demand for the
-callers that read n(k, v).  The recurrence's price (recurrence_cells) is
-charged before a row past k = 1 is grown, and before the field of any
-caller that reads those rows; at f <= 2 solve itself is charged only the
-table's price (require_solve_fits).
+callers that read n(k, v).  Work is charged as it is done, not guessed from
+(p, d): compute_table refuses a table over MAX_CELLS before counting it, and
+NSequence refuses the row that would take its running budget past that cap.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import closedform
-from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table, require_table_fits
+from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table
 from .errors import InternalDisagreement, SanityFailure, ScaleGuard
-from .ffield import FieldContext, make_context
+from .ffield import FieldContext
 
 
 class NSequence:
@@ -62,9 +61,13 @@ class NSequence:
         sum_v m(k, v) + m(k-1, 0) = p * f^(k-1)
 
     (SanityFailure otherwise).  It holds while every column l of the table
-    sums to f - [l == 0], which the row sums do not show.  Rows 0 and 1
-    cost nothing; a context over MAX_CELLS (recurrence_cells) is refused
-    with ScaleGuard before any row past k = 1 is built.
+    sums to f - [l == 0], which the row sums do not show.
+
+    cells counts the budget the rows have spent; rows 0 and 1 are free.  Row
+    k is charged a cell per multiply-add before it is grown, min(f, d) per
+    entry of row k - 1 (a column holds at most f entries), and a cell per
+    64-bit word stored after, its values being at most p * f^(k-1).  Past
+    MAX_CELLS, ScaleGuard names the row, which is not stored.
     """
 
     def __init__(self, table: CyclotomyTable, k_max: int = 1):
@@ -84,6 +87,7 @@ class NSequence:
         self.first_k: list[int | None] = [None] * d
         self.first_k[theta] = 1
         self._unset = d - 1  # classes whose first_k is still None
+        self.cells = 0
         self.extend(k_max)
 
     @property
@@ -117,13 +121,13 @@ class NSequence:
         """
         first, rows, fks = self.first_k, self._m, self._fk
         p, f, theta = self._p, self._f, self._theta
-        if len(rows) == 2 <= k_max:
-            require_recurrence_fits(p, self._d)  # the first row past k = 1
+        column_entries = min(f, self._d)
         starts = self.table.col_starts
         col_rows, col_counts = self.table.col_rows, self.table.col_counts
         while len(rows) <= k_max and (self._unset or not until_covered):
             k = len(rows)
             before, prev = rows[-2], rows[-1]
+            self._charge(k, len(prev) * column_entries)
             acc: dict[int, int] = {}
             get = acc.get
             for l, value in prev.items():
@@ -141,6 +145,7 @@ class NSequence:
                 raise SanityFailure(
                     f"row {k}: the sum of m({k}, v) plus m({k - 1}, 0) is "
                     f"{total}, not p*f^{k - 1} (p={p}, d={self._d})")
+            self._charge(k, len(support) * (1 + total.bit_length() // 64))
             if self._unset:
                 for v in support:
                     if first[v] is None:
@@ -148,6 +153,14 @@ class NSequence:
                         self._unset -= 1
             rows.append(support)
             fks.append(fks[-1] * f)
+
+    def _charge(self, k: int, cells: int) -> None:
+        self.cells += cells
+        if self.cells > MAX_CELLS:
+            raise ScaleGuard(
+                f"p={self._p}, d={self._d}: row {k} of the recurrence brings it "
+                f"to {self.cells} cells, over the cap of {MAX_CELLS}"
+            )
 
     def support(self, k: int) -> dict[int, int]:
         """The nonzero m(k, v) = f^k + n(k, v) by class v, as a new dict."""
@@ -172,68 +185,6 @@ class NSequence:
     def __repr__(self):
         ctx = self.ctx
         return f"NSequence(p={ctx.p}, d={ctx.d}, k_max={self.k_max})"
-
-
-def recurrence_cells(p: int, d: int) -> int:
-    """The recurrence's worst case for order d mod p, in cells.
-
-    solve may grow every row up to k = d at f >= 3, and the callers that
-    read n(k, v) (period, series, the full checks) at every f.  At f <= 2
-    solve grows no row past k = 1, so require_solve_fits charges it only
-    the table there.  Memory: d stored rows, each the support of m(k, .)
-    and so at most d values, each up to d*log2(f) bits since values grow
-    like f^k, priced in 64-bit words.
-    Work: one multiply-add per row and nonzero table entry, of which there
-    are at most min(d*d, p-2), priced one cell each.  Both terms are upper
-    bounds, since rows are stored and propagated on their support only (one
-    value per row at f = 1).
-    """
-    f = (p - 1) // d
-    words = 1 + d * (f.bit_length() - 1) // 64
-    multiply_adds = d * min(d * d, p - 2)
-    return d * d * words + multiply_adds
-
-
-def require_recurrence_fits(p: int, d: int) -> None:
-    """Refuse, with ScaleGuard, a reduced order whose recurrence passes MAX_CELLS."""
-    cells = recurrence_cells(p, d)
-    if cells > MAX_CELLS:
-        raise ScaleGuard(
-            f"p={p}, d={d}: the recurrence may need {cells} cells, "
-            f"over the cap of {MAX_CELLS}"
-        )
-
-
-def require_solve_fits(p: int, d: int) -> None:
-    """Refuse, with ScaleGuard, a reduced order whose solve passes MAX_CELLS.
-
-    At f <= 2 solve reads only the table, the walks and the closed form,
-    so it is charged the table's price (require_table_fits); at f >= 3 it
-    grows the recurrence, and is charged the recurrence's price.
-    """
-    if (p - 1) // d <= 2:
-        require_table_fits(p, d)
-    else:
-        require_recurrence_fits(p, d)
-
-
-def solver_guard(rows: bool):
-    """The price guard of a caller that solves, and with rows reads n(k, v).
-
-    Callers that read the rows past k = 1 (period, series, the full
-    checks) are charged the recurrence price at every f.
-    """
-    return require_recurrence_fits if rows else require_solve_fits
-
-
-def solver_context(
-    p: int, d: int, *, max_p: int | None = None, rows: bool = False
-) -> FieldContext:
-    """make_context, refusing an order priced over MAX_CELLS before the O(p) field.
-
-    The price is solver_guard(rows)'s.
-    """
-    return make_context(p, d, max_p=max_p, guard=solver_guard(rows))
 
 
 @dataclass(frozen=True)
@@ -274,10 +225,9 @@ def solve(ctx: FieldContext) -> WaringSolution:
     true table neither route is ever silent, so that is the headline
     correctness contract, not a recoverable condition.  Brute force only
     checks the answers (sweep.full_checks); it never supplies one.
-    A context priced over MAX_CELLS (require_solve_fits) is refused before
-    its table is counted.
+    A table over MAX_CELLS is refused before it is counted (compute_table),
+    and rows past the running budget as they are reached (NSequence).
     """
-    require_solve_fits(ctx.p, ctx.d)
     table = compute_table(ctx)
     seq = NSequence(table)
     p, d, theta = ctx.p, ctx.d, ctx.theta

@@ -54,7 +54,7 @@ def test_closed_near_the_cap_fits_128_mib():
 
 
 def test_large_p_with_moderate_d_is_solved():
-    # the recurrence guard prices 1.6e6 cells here, far under its cap
+    # g = 2: the rows cost 220 cells of the running budget
     done = run_limited(["sd", "-p", "4194301", "-d", "110"], 128)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
@@ -64,8 +64,8 @@ def test_large_p_with_moderate_d_is_solved():
 
 
 def test_recurrence_guard_refuses_before_allocating():
-    # d = p - 1 = 20010: at f = 1 sd is charged its table alone, and the
-    # 20010 x 20010 table passes the cap, as the recurrence would too
+    # d = p - 1 = 20010: the 20010 x 20010 table passes the cap, so sd is
+    # refused from (p, d) before the field is built
     done = run_limited(["sd", "-p", "20011", "-d", "20010"], 256)
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
@@ -73,3 +73,14 @@ def test_recurrence_guard_refuses_before_allocating():
         "error: p=20011, d=20010: the 20010 x 20010 table would need "
         "400400100 cells, over the cap of 30000000\n"
     )
+
+
+def test_large_d_with_few_rows_fits_1_gib():
+    # f = 198: the 5051 x 5051 table fits the cap, and every class is in by
+    # row 4 of the recurrence, at under 10^6 cells of its running budget
+    done = run_limited(["sd", "-p", "1000099", "-d", "5051"], 1024)
+    assert done.returncode == 0, done.stderr
+    data = json.loads(done.stdout)
+    assert (data["d"], data["f"], data["theta"], data["g"]) == ("5051", "198", "0", "4")
+    assert [data["per_class_s"].count(str(s)) for s in (1, 2, 3, 4)] == [
+        1, 98, 3626, 1326]

@@ -10,6 +10,7 @@ from cyclomod.cli import main
 from cyclomod.closedform import small_f_lengths
 from cyclomod.errors import CyclomodError, InputError, ScaleGuard
 from cyclomod.ffield import primes_in_range
+from cyclomod.periods import MAX_PERIOD_DEGREE
 from cyclomod.series import MAX_SERIES_ORDER
 from cyclomod.sweep import (
     SweepRecord,
@@ -260,16 +261,16 @@ def test_sweep_builds_one_field_per_prime(monkeypatch):
 def test_a_refused_order_is_keyed_and_left_out_of_the_shared_field(
     monkeypatch, capsys
 ):
-    import cyclomod.waring as waring_module
+    import cyclomod.cyclotomy as cyclotomy_module
 
-    real = waring_module.require_solve_fits
+    real = cyclotomy_module.require_table_fits
 
     def refuse_7_3(p, d):
         if (p, d) == (7, 3):
             raise ScaleGuard("synthetic price")
         real(p, d)
 
-    monkeypatch.setattr(waring_module, "require_solve_fits", refuse_7_3)
+    monkeypatch.setattr(cyclotomy_module, "require_table_fits", refuse_7_3)
     built = _count_fields(monkeypatch)
     keys = [(r.p, r.d) for r in run_sweep(7, 7, verify_level="fast")]
     assert keys == [(7, 2), (7, 6)]
@@ -408,18 +409,29 @@ def test_oversized_recurrence_refused_before_the_field(monkeypatch, capsys):
     def no_field(*args):
         raise AssertionError("the power-class array was built")
 
-    # the commands that grow the rows past k = 1 are charged the recurrence
+    # period's degree and series' default order d + 2 are refused from
+    # (p, d) alone, though at f = 1 the rows would cost 2 cells each
     with monkeypatch.context() as patch:
         patch.setattr(ffield, "_power_classes", no_field)
-        for command in (["period"], ["verify"], ["series", "-j", "1"]):
-            assert main(command + ["-p", "4001", "-d", "4000"]) == 2, command
+        for p in (3001, 4001):
+            start = time.perf_counter()
+            assert main(["period", "-p", str(p), "-d", str(p - 1)]) == 2
+            assert time.perf_counter() - start < 1
             assert capsys.readouterr().err == (
-                "error: p=4001, d=4000: the recurrence may need 31996000 cells, "
-                "over the cap of 30000000\n"
+                f"error: p={p}, d={p - 1}: the degree-{p - 1} period polynomial "
+                f"is over the cap of {MAX_PERIOD_DEGREE}\n"
             )
-        with pytest.raises(ScaleGuard, match="the recurrence may need"):
-            solve_single(4001, 4000, "full")
-    # at f = 1 solve reads only the table, whose 1.6e7 cells fit
+        assert main(["series", "-j", "1", "-p", "4001", "-d", "4000"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: series order 4002 is over the cap of {MAX_SERIES_ORDER}\n"
+        )
+    # the full checks scan the series to g = 4000, refused once solved
+    refusal = "the series route would scan to order 4000"
+    assert main(["verify", "-p", "4001", "-d", "4000"]) == 2
+    assert refusal in capsys.readouterr().err
+    with pytest.raises(ScaleGuard, match=refusal):
+        solve_single(4001, 4000, "full")
+    # gd and sd read the table, whose 1.6e7 cells fit, and grow no row
     assert main(["gd", "-p", "4001", "-d", "4000"]) == 0
     assert capsys.readouterr().out == "4000\n"
     assert main(["sd", "-p", "4001", "-d", "4000", "-a", "4000"]) == 0

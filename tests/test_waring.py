@@ -11,10 +11,11 @@ from cyclomod import (
     solve,
 )
 from cyclomod.closedform import small_f_lengths
-from cyclomod.cyclotomy import MAX_CELLS, CyclotomyTable
+from cyclomod.cyclotomy import CyclotomyTable
 from cyclomod.errors import InternalDisagreement, SanityFailure, ScaleGuard
+from cyclomod.oracle import sumset_lengths
 from cyclomod.sweep import admissible_orders
-from cyclomod.waring import NSequence, recurrence_cells
+from cyclomod.waring import NSequence
 
 from conftest import (
     count_matrix_powers, dense_rows, s_by_matrix_powers, table_from_counts,
@@ -438,77 +439,43 @@ def test_rectangle_move_at_f_2_disagrees_with_the_closed_form(monkeypatch):
 
 
 def test_closed_form_route_at_small_f_property():
-    # solve's answer at f <= 2 is the closed form, the recurrence grown to
-    # full depth gives the same vector, and so does brute force below 2000;
-    # solve is charged only its table there, but the rows past k = 1 are
-    # still refused over the recurrence price
+    # solve's answer at f <= 2 is the closed form; the recurrence, grown to
+    # full depth under its running budget, gives the same vector, and so
+    # does brute force below 2000 on the sampled classes
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=15, deadline=None)
     @hypothesis.given(
-        st.sampled_from(primes_in_range(5, 3000)), st.sampled_from([1, 2]), st.data()
+        st.sampled_from(primes_in_range(5, 3000)),
+        st.sampled_from([1, 2]),
+        st.lists(st.integers(0, 3000), min_size=1, max_size=3),
     )
-    @hypothesis.example(2393, 2, st.data())  # the least f = 2 key over it
-    def check(p, f, data):
+    @hypothesis.example(2999, 2, [0])  # the deepest f = 2 rows in range
+    def check(p, f, picks):
         d = (p - 1) // f
         ctx = make_context(p, d)
         closed = small_f_lengths(p, d, ctx.omega)
         solution = solve(ctx)
         assert solution.per_class_s == closed
         assert solution.method == "closed-form"
-        if recurrence_cells(p, d) > MAX_CELLS:
-            with pytest.raises(ScaleGuard, match="the recurrence may need"):
-                solution.seq.extend(2)
-        else:
-            assert by_recurrence(solution.seq.table) == list(closed)
+        assert by_recurrence(solution.seq.table) == list(closed)
         if p < 2000:
-            sample = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3))
-            for alpha in sample:
+            for alpha in {x % d for x in picks}:
                 assert brute_s(ctx, ctx.element_of_class(alpha)) == closed[alpha]
 
     check()
 
 
-def sumset_lengths(ctx):
-    """Every class's least k from one growth of the p-bit sumset of the powers.
-
-    All elements of a class need the same k, so class alpha is read at its
-    representative omega^alpha mod p; no table and no class array is read.
-    """
-    p, d = ctx.p, ctx.d
-    powers = {pow(x, d, p) for x in range(1, p)}
-    full = (1 << p) - 1
-    reach = sum(1 << x for x in powers)
-    alpha_at = {pow(ctx.omega, alpha, p): alpha for alpha in range(d)}
-    todo = sum(1 << r for r in alpha_at)
-    lengths = [None] * d
-    k = 1
-    while todo:
-        hit = reach & todo
-        todo ^= hit
-        while hit:
-            low = hit & -hit
-            lengths[alpha_at[low.bit_length() - 1]] = k
-            hit ^= low
-        grown = 0
-        for x in powers:  # the sums of one more power: reach + x, cyclically
-            grown |= (reach << x) | (reach >> (p - x))
-        reach = grown & full
-        k += 1
-    return tuple(lengths)
-
-
-def test_f_equal_2_keys_over_the_recurrence_price_are_answered(capsys):
-    # 75 f = 2 keys below 3000 are over the recurrence price; solve reads
-    # only their table, so each is answered, and the answer is the closed
-    # form and the sumset growth
-    over = [p for p in primes_in_range(3, 3000)
-            if recurrence_cells(p, (p - 1) // 2) > MAX_CELLS]
-    assert len(over) == 75 and over[0] == 2393
-    for p in over[:2] + over[-1:]:
+def test_f_equal_2_keys_from_2393_are_answered(capsys):
+    # the 75 f = 2 keys of 2393..3000 grow no row: each is answered from its
+    # table, and the answer is the closed form and the sumset growth
+    keys = primes_in_range(2393, 3000)
+    assert len(keys) == 75
+    for p in keys[:2] + keys[-1:]:
         ctx = make_context(p, (p - 1) // 2)
         solution = solve(ctx)
+        assert solution.seq.k_max == 1
         assert solution.per_class_s == small_f_lengths(p, ctx.d, ctx.omega)
         assert solution.per_class_s == sumset_lengths(ctx), p
         worst = solution.per_class_s.index(solution.g)
@@ -521,6 +488,21 @@ def test_f_equal_2_keys_over_the_recurrence_price_are_answered(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["g"] == str(max(small_f_lengths(2393, 1196, 3)))
+
+
+def test_f_equal_3_key_is_answered_like_brute_force(capsys):
+    # (3511, 1170): 64 rows at f = 3, well inside the running budget
+    from cyclomod.cli import main
+
+    assert main(["sd", "-p", "3511", "-d", "1170"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    per_class_s = [int(s) for s in json.loads(captured.out)["per_class_s"]]
+    assert max(per_class_s) == 64
+    ctx = make_context(3511, 1170)
+    worst = per_class_s.index(64)
+    for alpha in (0, 1, 2, 585, worst):
+        assert brute_s(ctx, ctx.element_of_class(alpha)) == per_class_s[alpha]
 
 
 def test_sumset_growth_matches_brute_force():
@@ -558,21 +540,28 @@ def test_three_way_equivalence_small():
 
 
 def test_recurrence_guard_spares_d_equal_p_minus_1_near_3000():
+    # f = 1: 1 is the only power, so each of the d rows holds one value of
+    # one word and costs one multiply-add
     for p in primes_in_range(3001, 3061):
-        assert recurrence_cells(p, p - 1) <= MAX_CELLS, p
+        seq = NSequence(compute_table(make_context(p, p - 1)))
+        seq.extend(p - 1, until_covered=True)
+        assert seq.k_max == p - 1
+        assert seq.cells == 2 * (p - 2), p
 
 
-def test_recurrence_guard_refuses_before_any_row():
-    ctx = make_context(4001, 4000)  # f = 1: every table entry is 0 or 1
+def test_recurrence_guard_refuses_before_any_row(monkeypatch):
+    import cyclomod.waring as waring_module
+
+    ctx = make_context(4001, 4000)
     table = compute_table(ctx)
-    assert sum(map(len, table.row_supports)) == 4001 - 2
-    assert recurrence_cells(4001, 4000) == 4000 * (4000 + 3999) > MAX_CELLS
-    # rows 0 and 1 cost nothing; the first row past k = 1 is refused
+    # rows 0 and 1 cost nothing; row 2 is charged before it is grown
+    monkeypatch.setattr(waring_module, "MAX_CELLS", 0)
     seq = NSequence(table)
-    with pytest.raises(ScaleGuard, match="the recurrence may need"):
+    assert seq.cells == 0
+    with pytest.raises(ScaleGuard, match="row 2 of the recurrence"):
         seq.extend(2)
     assert seq.k_max == 1
-    with pytest.raises(ScaleGuard, match="the recurrence may need"):
+    with pytest.raises(ScaleGuard, match="row 2 of the recurrence"):
         NSequence(table, 2)
     # solve grows no row at f = 1, so it answers from the closed form
     solution = solve(ctx)
@@ -580,35 +569,64 @@ def test_recurrence_guard_refuses_before_any_row():
     assert solution.seq.k_max == 1
 
 
-def _never_count_a_table(monkeypatch):
+def test_recurrence_budget_names_the_row_that_passes_it(monkeypatch):
     import cyclomod.waring as waring_module
 
-    def never(ctx):
-        raise AssertionError("table counted for a refused context")
+    table = compute_table(make_context(31, 6))
+    spent = []
+    seq = NSequence(table)
+    for k in range(2, 7):
+        seq.extend(k)
+        spent.append(seq.cells)
+    assert spent == sorted(spent) and spent[0] > 0
+    # a cap of exactly the first four rows' cost admits them, not row 5
+    monkeypatch.setattr(waring_module, "MAX_CELLS", spent[2])
+    seq = NSequence(table, 4)
+    assert seq.cells == spent[2]
+    with pytest.raises(ScaleGuard) as info:
+        seq.extend(6)
+    assert str(info.value) == (
+        f"p=31, d=6: row 5 of the recurrence brings it to {seq.cells} cells, "
+        f"over the cap of {spent[2]}"
+    )
+    assert seq.k_max == 4
+    assert solve(table.ctx).g == 4  # every class is in by row 4: it fits
 
-    monkeypatch.setattr(waring_module, "compute_table", never)
+
+def _unreadable_field(p, d):
+    """The context of (p, d) with a class array no table can be counted from."""
+    from dataclasses import replace
+
+    return replace(make_context(p, d), index_table=None)
 
 
-def test_solve_refuses_before_counting_the_table(monkeypatch):
-    _never_count_a_table(monkeypatch)
-    # f = 3: the 1170 x 1170 table fits, the recurrence does not
-    with pytest.raises(ScaleGuard, match="the recurrence may need"):
-        solve(make_context(3511, 1170))
+def test_solve_refuses_before_counting_the_table():
+    # f = 3: the 5482 x 5482 table is over the cap, whatever the rows cost
+    with pytest.raises(ScaleGuard, match="the 5482 x 5482 table would need"):
+        solve(_unreadable_field(16447, 5482))
 
 
-def test_solve_at_small_f_is_charged_its_table_before_counting_it(monkeypatch):
-    _never_count_a_table(monkeypatch)
+def test_solve_at_small_f_is_charged_its_table_before_counting_it():
     with pytest.raises(ScaleGuard, match="the 20010 x 20010 table would need"):
-        solve(make_context(20011, 20010))
+        solve(_unreadable_field(20011, 20010))
 
 
 def test_recurrence_cells_price_wide_values():
-    # f = 2 and d = 249: stored values reach 2^249, four 64-bit words each;
-    # the 249 * 497 multiply-adds are priced one cell each
-    assert recurrence_cells(499, 249) == 249 * 249 * 4 + 249 * 497
+    # f = 2 and d = 249: row k is charged 2 multiply-adds per value of row
+    # k - 1 and 1 + bits(p * 2^(k-1)) // 64 words per value it stores
+    seq = NSequence(compute_table(make_context(499, 249)))
+    seq.extend(249)
+    expect = sum(2 * len(seq.support(k - 1))
+                 + len(seq.support(k)) * (1 + (499 << (k - 1)).bit_length() // 64)
+                 for k in range(2, 250))
+    assert seq.cells == expect
+    assert (499 << 247).bit_length() // 64 == 4  # the last row takes 5 words
 
 
 def test_recurrence_cells_spare_large_p_with_moderate_d():
-    # p = 4194301, d = 110: 110 rows of 110 values up to 26 words wide, and
-    # 110 rows of 12100 multiply-adds; the width must not scale the work
-    assert recurrence_cells(4194301, 110) == 110 * 110 * 26 + 110 * 12100 <= MAX_CELLS
+    # p = 4194301, d = 110: the rows the full checks read, up to k = 3, cost
+    # 110 + 110 cells for row 2 and 110 * 110 + 110 for row 3, each value
+    # one word; the width of p does not scale the work
+    seq = NSequence(compute_table(make_context(4194301, 110)), 3)
+    assert [len(seq.support(k)) for k in (2, 3)] == [110, 110]
+    assert seq.cells == 110 + 110 + 110 * 110 + 110
