@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 
 from . import closedform, cyclotomy, oracle, periods, series, sweep, waring
 from .ffield import is_prime, make_context
@@ -63,6 +64,15 @@ def _prime_bounds(args) -> tuple[int, int]:
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
+
+
+def _decimal(n: int) -> str:
+    """n in decimal digits, however long.
+
+    str(n) refuses past sys.get_int_max_str_digits() digits (4300 by
+    default); Decimal converts an int exactly without that limit.
+    """
+    return str(Decimal(n))
 
 
 def _trivial_payload(exc: DegenerateOrder) -> dict:
@@ -141,8 +151,8 @@ def cmd_period(args) -> int:
         {
             "p": str(ctx.p),
             "d": str(ctx.d),
-            "coefficients": [str(c) for c in poly.coeffs],
-            "discriminant": str(poly.discriminant),
+            "coefficients": [_decimal(c) for c in poly.coeffs],
+            "discriminant": _decimal(poly.discriminant),
         }
     )
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Cyclotomic numbers of order d, counted exactly, plus the classical checks.
+"""Cyclotomic numbers of order d, counted exactly, plus the checks on them.
 
 Fix a context (p, omega, d).  The cyclotomic number (i, j) counts pairs
 (u, v) with 1 + omega^(d*u+i) = omega^(d*v+j) mod p, for 0 <= u, v < f.
@@ -13,9 +13,13 @@ no Python-level step runs per residue except in the final tally.  The
 recurrence pushes values along the columns, the walks read them as the
 reversed edges, and the classical checks read the flat tuples once; the
 row view and the dense d x d matrix are derived only when a printer, the
-order-3 and order-4 closed forms or a test asks for them.  The
-definitional double loop and the per-residue tally are kept in the test
-suite as independent oracles.
+order-3 and order-4 closed forms or a test asks for them.  The full checks
+also build upper-bound witnesses: a breadth-first tree over the rows from
+class 0, one incidence per tree edge found in a second pass over the same
+codes, and from them an explicit sum of powers in every class, which
+check_witnesses proves from p, d and omega alone.  The definitional
+double loop and the per-residue tally are kept in the test suite as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from operator import ne, sub
 from typing import Iterator, Sequence
 
 from .errors import ScaleGuard
@@ -133,15 +138,41 @@ def require_table_fits(p: int, d: int) -> None:
         )
 
 
+def _code_typecode(d: int) -> str:
+    """The array typecode whose lanes hold every code below d*d."""
+    cells = d * d
+    return "B" if cells <= 1 << 8 else "H" if cells <= 1 << 16 else "I"
+
+
+def _coded_chunks(ctx: FieldContext) -> Iterator[tuple[int, bytes]]:
+    """The codes class(x + 1) * d + class(x) of x = 1..p-2, a chunk at a time.
+
+    Yields (lo, coded): coded holds the codes of x = lo, lo + 1, ... in
+    consecutive lanes of _code_typecode(d), native byte order.  A chunk of
+    the power-class array is read as two integers X and Y of lanes, one
+    lane per x, shifted by one residue; the lanes are widened first if
+    d*d - 1 does not fit them.  Then Y * d + X holds every code of the
+    chunk in its own lane, with no carry between lanes.
+    """
+    p, d = ctx.p, ctx.d
+    typecode = _code_typecode(d)
+    classes = memoryview(ctx.index_table)
+    for lo in range(1, p - 1, _TALLY_CHUNK):
+        hi = min(lo + _TALLY_CHUNK, p - 1)
+        lanes = classes[lo : hi + 1]  # class(x) for x = lo .. hi
+        if lanes.format != typecode:
+            lanes = memoryview(array(typecode, lanes))
+        x = int.from_bytes(lanes[:-1], sys.byteorder)
+        y = int.from_bytes(lanes[1:], sys.byteorder)
+        yield lo, (y * d + x).to_bytes(lanes[1:].nbytes, sys.byteorder)
+
+
 def compute_table(ctx: FieldContext) -> CyclotomyTable:
     """Count all cyclotomic numbers of order d in one pass over the units.
 
-    Each incidence x = 1..p-2 is coded as class(x + 1) * d + class(x).  A
-    chunk of the power-class array is read as two integers X and Y of
-    lanes, one lane per x, shifted by one residue; the lanes are widened
-    first if d*d - 1 does not fit them.  Then Y * d + X holds every code of
-    the chunk in its own lane, with no carry between lanes.  The codes are
-    tallied with one bytes.count per code when there are few, else with a
+    Each incidence x = 1..p-2 is coded as class(x + 1) * d + class(x),
+    a chunk of lanes at a time (_coded_chunks).  The codes are tallied
+    with one bytes.count per code when there are few, else with a
     Counter.  Sorted, the codes are the entries in column-major order:
     column j holds the codes j*d .. j*d + d-1, and each code's row is its
     value mod d.  No d x d matrix is built, and the tally holds at most
@@ -152,17 +183,9 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
     p, d = ctx.p, ctx.d
     require_table_fits(p, d)
     cells = d * d
-    typecode = "B" if cells <= 1 << 8 else "H" if cells <= 1 << 16 else "I"
-    classes = memoryview(ctx.index_table)
+    typecode = _code_typecode(d)
     tally: Counter[int] = Counter()
-    for lo in range(1, p - 1, _TALLY_CHUNK):
-        hi = min(lo + _TALLY_CHUNK, p - 1)
-        lanes = classes[lo : hi + 1]  # class(x) for x = lo .. hi
-        if lanes.format != typecode:
-            lanes = memoryview(array(typecode, lanes))
-        x = int.from_bytes(lanes[:-1], sys.byteorder)
-        y = int.from_bytes(lanes[1:], sys.byteorder)
-        coded = (y * d + x).to_bytes(lanes[1:].nbytes, sys.byteorder)
+    for _, coded in _coded_chunks(ctx):
         if cells <= _COUNTED_CODES:
             tally.update({c: n for c in range(cells) if (n := coded.count(c))})
         else:
@@ -178,11 +201,17 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
     )
 
 
+def _entry_columns(table: CyclotomyTable) -> list[int]:
+    """The column of every nonzero entry, in the order of table.col_rows."""
+    starts = table.col_starts
+    return list(chain.from_iterable(
+        map(repeat, range(table.ctx.d), map(sub, starts[1:], starts[:-1]))))
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
     passed: bool
-    skipped: bool = False
     detail: str = ""
 
 
@@ -201,13 +230,17 @@ class IdentityReport:
 
 
 def verify_identities(table: CyclotomyTable) -> IdentityReport:
-    """Check row sums, the total count, and (f even) symmetry.
+    """Check row sums, the total count and the classical relations.
 
-    Row k must sum to f - 1 when k is the class of -1 and to f otherwise;
-    the full table must hold p - 2 incidences; and for even f the table is
-    symmetric.  Each check reads the flat column lists once, O(nnz).
-    Violations are reported, never raised: these identities are theorems,
-    so a failure means the table was built incorrectly.
+    Row k must sum to f - 1 when k is the class of -1 and to f otherwise,
+    and the full table must hold p - 2 incidences.  The relations
+    (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2) hold on
+    every table: (i, j) = (-i, j - i), and (i, j) = (j, i) for even f or
+    (i, j) = (j + d/2, i + d/2) for odd f.  Each relation maps the table
+    onto itself, so it is checked entry by entry on one dict of the
+    nonzero entries.  Every check is O(nnz).  Violations are reported,
+    never raised: these identities are theorems, so a failure means the
+    table was built incorrectly.
     """
     ctx = table.ctx
     d, f, theta = ctx.d, ctx.f, ctx.theta
@@ -237,28 +270,164 @@ def verify_identities(table: CyclotomyTable) -> IdentityReport:
         )
     )
 
+    # entry (i, j) is coded j*d + i, its position in the column-major tuples
+    rows, counts = table.col_rows, table.col_counts
+    cols = _entry_columns(table)
+    entries = dict(zip([j * d + i for i, j in zip(rows, cols)], counts))
     if f % 2 == 0:
-        entries = {}
-        for j in range(d):
-            for i, c in table.column(j):
-                entries[i, j] = c
-        # an entry whose mirror is missing or different is off, both ways
-        asym = sorted({
-            (min(i, j), max(i, j))
-            for (i, j), c in entries.items() if entries.get((j, i)) != c
-        })
+        swap = "(i, j) = (j, i)", lambda: (i * d + j for i, j in zip(rows, cols))
+    else:  # d*f = p - 1 is even, so d is
+        half = d // 2
+        swap = "(i, j) = (j + d/2, i + d/2)", lambda: (
+            (i + half) % d * d + (j + half) % d for i, j in zip(rows, cols))
+    relations = (
+        ("reflection", "(i, j) = (-i, j - i)",
+         lambda: ((j - i) % d * d + -i % d for i, j in zip(rows, cols))),
+        ("symmetry", *swap),
+    )
+    for name, relation, coded_images in relations:
+        # each relation maps the cells onto themselves, so an entry whose
+        # image holds another count (or none) shows every violation
+        off = []
+        if any(map(ne, map(entries.get, coded_images()), counts)):
+            off = sorted({
+                min((i, j), (image % d, image // d))
+                for i, j, c, image in zip(rows, cols, counts, coded_images())
+                if entries.get(image) != c
+            })
         checks.append(
             IdentityCheck(
-                name="symmetry",
-                passed=not asym,
-                detail="" if not asym else f"asymmetric at: {asym}",
-            )
-        )
-    else:
-        checks.append(
-            IdentityCheck(
-                name="symmetry", passed=True, skipped=True, detail="skipped: f odd"
+                name=name,
+                passed=not off,
+                detail="" if not off else f"{relation} fails at: {off}",
             )
         )
 
     return IdentityReport(checks=tuple(checks))
+
+
+@dataclass(frozen=True)
+class Witness:
+    """An element b of class j that is a sum of length nonzero d-th powers.
+
+    b = b_parent + y with y a nonzero d-th power, where b_parent is the
+    witness of class parent; the root, class 0, has parent None and
+    b = y = 1.
+    """
+
+    j: int
+    parent: int | None
+    y: int
+    b: int
+    length: int
+
+
+def upper_bound_witnesses(
+    table: CyclotomyTable,
+) -> tuple[list[Witness], list[tuple[int, int]]]:
+    """Witnesses along a breadth-first tree from class 0, and its bare edges.
+
+    The search runs forward over the rows: an entry (c, j) != 0 is an edge
+    c -> j.  For each tree edge, one incidence x with class(x) = c and
+    class(x + 1) = j is found, all of them in one pass over the codes of
+    compute_table (_coded_chunks) that stops once every edge has its x.
+    If b is a sum of k powers in class c, then y = b / x is a d-th power
+    and b + y = y * (1 + x) lies in class j.  So from b = 1 each class j
+    reached gets a witness of length depth(j) + 1, built with one modular
+    inverse per class.  A bare tree edge, one with no incidence (a table
+    entry that no x supports), is listed, and the classes below it get no
+    witness.  The witnesses prove upper bounds only (check_witnesses).
+    """
+    ctx = table.ctx
+    p, d = ctx.p, ctx.d
+    out: list[list[int]] = [[] for _ in range(d)]
+    # out[c].append(j) for each entry (c, j), column by column
+    deque(map(list.append, map(out.__getitem__, table.col_rows),
+              _entry_columns(table)), 0)
+    parent: list[int | None] = [None] * d
+    order = [0]
+    seen = [False] * d
+    seen[0] = True
+    for c in order:  # grows as the search runs
+        for j in out[c]:
+            if not seen[j]:
+                seen[j] = True
+                parent[j] = c
+                order.append(j)
+
+    wanted = {j * d + parent[j]: j for j in order[1:]}  # code of edge parent -> j
+    typecode = _code_typecode(d)
+    incidence: dict[int, int] = {}  # class j -> x on its tree edge
+    for lo, coded in _coded_chunks(ctx):
+        if not wanted:
+            break
+        lanes = memoryview(coded).cast(typecode)
+        # one x per code in the chunk (the last), found at C speed
+        where = dict(zip(lanes, range(lo, lo + len(lanes))))
+        for code in wanted.keys() & where.keys():
+            incidence[wanted.pop(code)] = where[code]
+
+    root = Witness(j=0, parent=None, y=1, b=1, length=1)
+    witnesses, by_class = [root], {0: root}
+    missing = []
+    for j in order[1:]:
+        c = parent[j]
+        top = by_class.get(c)
+        if top is None:  # below an edge with no incidence
+            continue
+        x = incidence.get(j)
+        if x is None:
+            missing.append((c, j))
+            continue
+        y = top.b * pow(x, -1, p) % p
+        witness = Witness(j=j, parent=c, y=y, b=(top.b + y) % p, length=top.length + 1)
+        witnesses.append(witness)
+        by_class[j] = witness
+    return witnesses, missing
+
+
+def check_witnesses(
+    p: int, d: int, omega: int, witnesses: Sequence[Witness],
+    per_class_s: Sequence[int],
+) -> list[str]:
+    """What is wrong with the witnesses, checked from p, d and omega alone.
+
+    Each witness must follow its parent's, and with f = (p-1)/d:
+    y^f = 1 (y is a nonzero d-th power), (b * omega^-j)^f = 1 (b lies in
+    class j), b = b_parent + y (b = y at the root, class 0) and length =
+    parent's length + 1 (1 at the root).  So b is a sum of length powers,
+    and length must be per_class_s[j], the claimed answer for class j.
+    Every class needs a witness.  An empty list proves that no class needs
+    more powers than claimed; it says nothing of fewer, which is the
+    lower bound the brute-force oracle checks.
+    """
+    f = (p - 1) // d
+    proved: dict[int, Witness] = {}
+    problems = []
+    for w in witnesses:
+        if w.parent is None:  # b = y is then in class 0, or fails below
+            base, base_length = 0, 0
+        elif w.parent in proved:
+            base, base_length = proved[w.parent].b, proved[w.parent].length
+        else:
+            problems.append(f"class {w.j}: parent {w.parent} not proved before it")
+            continue
+        wrong = [
+            what for what, holds in (
+                ("y is not a d-th power", pow(w.y, f, p) == 1),
+                (f"b is not in class {w.j}", pow(w.b * pow(omega, -w.j, p), f, p) == 1),
+                ("b is not b_parent + y", w.b == (base + w.y) % p),
+                ("length is not the parent's + 1", w.length == base_length + 1),
+            ) if not holds
+        ]
+        if wrong:
+            problems.append(f"class {w.j}: " + ", ".join(wrong))
+            continue
+        proved[w.j] = w
+        if w.length != per_class_s[w.j]:
+            problems.append(
+                f"class {w.j}: {w.length} powers, not s = {per_class_s[w.j]}")
+    unproved = [j for j in range(d) if j not in proved]
+    if unproved:
+        problems.append(f"no proved witness for classes {unproved}")
+    return problems

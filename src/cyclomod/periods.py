@@ -19,8 +19,7 @@ from .waring import NSequence
 #: Cap on the degree d of the polynomial whose discriminant `period` prints:
 #: a fraction-free elimination whose integers widen with d and with log f.
 #: On a 2-vCPU host with CPython 3.11 and p near the default cap on p, it
-#: takes ~1.8 s at d = 40 and ~24 s at d = 60 (~8.7 s at d = 240 for f = 1),
-#: and past d = 40 it can pass CPython's 4300-digit int-to-text limit.
+#: takes ~1.8 s at d = 40 and ~24 s at d = 60 (~8.7 s at d = 240 for f = 1).
 MAX_PERIOD_DEGREE = 40
 
 

@@ -9,7 +9,9 @@ difference D = 1/(1 - f*T) - I_j'/I_j has k-th coefficient
 D_k = f^k + n(k, j), which is p times the representation count.  Its
 valuation (index of the first nonzero coefficient) is therefore the minimal
 representation length for the class with class(-a) = j, giving a third,
-series-side route to the same answer.
+series-side route to the same answer.  D_k is m(k, j) of the recurrence,
+so on any integer rows the valuation is the recurrence's first k again:
+it reproduces the paper's criterion on demand, and checks no table.
 
 The valuation is read without inverting I_j.  I_j and 1 - f*T both have
 constant term 1, so both are units of Q[[T]], and
@@ -41,12 +43,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from operator import add, mul
-from weakref import WeakKeyDictionary
 
 from .errors import AllZeroToOrder, SanityFailure, ScaleGuard
 from .waring import NSequence
 
-#: Cap on the truncation order of i_series.  Each coefficient is one
+#: Cap on the truncation order of i_series, which the series command
+#: prints; nothing else scans the series.  Each coefficient is one
 #: integer convolution, and the integers grow with the order.  On a 2-vCPU
 #: host with CPython 3.11 and the rows already grown, order 400 takes
 #: ~0.18 s at p = 7, d = 3 and ~0.6 s at p = 4194301, d = 4, while order
@@ -92,26 +94,6 @@ def i_series(seq: NSequence, j: int, order: int) -> RationalSeries:
     return RationalSeries(tuple(Fraction(c, math.factorial(k)) for k, c in terms))
 
 
-class _Pascal:
-    """Binomial rows binom(k, 0..k) and factorials k!, grown on demand."""
-
-    def __init__(self):
-        self.rows = [[1]]
-        self.factorials = [1]
-
-    def grow(self) -> None:
-        """Append the next row and the next factorial."""
-        last = self.rows[-1]
-        self.rows.append([1, *map(add, last, last[1:]), 1])
-        self.factorials.append(self.factorials[-1] * len(self.factorials))
-
-
-# One _Pascal per field context: every class of one (p, d) reuses the rows,
-# and they are dropped with the context.  Keyed on seq.ctx alone, so any
-# sequence exposing ctx, n and extend shares them.
-_PASCAL: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _scaled_coefficients(seq: NSequence, j: int):
     """Yield C_k = k! c_k of I_j for k = 0, 1, 2, ..., one at a time.
 
@@ -119,25 +101,21 @@ def _scaled_coefficients(seq: NSequence, j: int):
 
         C_{k+1} = -sum_{l<=k} binom(k, l) C_l N_{k-l}
 
-    C_{k+1} reads n(0..k, j) only.  The binomial rows and factorials come
-    from the context's shared _Pascal.  Terms are lazy, so a caller stops
-    at the order it needs.
+    C_{k+1} reads n(0..k, j) only.  The binomial row and the factorial
+    are grown alongside.  Terms are lazy, so a caller stops at the order
+    it needs.
     """
-    ctx = seq.ctx
-    j %= ctx.d
-    pascal = _PASCAL.get(ctx)
-    if pascal is None:
-        pascal = _PASCAL[ctx] = _Pascal()
-    rows, facts = pascal.rows, pascal.factorials
+    j %= seq.ctx.d
+    row, fact = [1], 1  # binom(k, 0..k) and k!
     big_c = [1]  # C_0..C_k
     big_n: list[int] = []  # N_0..N_k
     yield 1
     for k in count():
-        if k == len(rows):
-            pascal.grow()
-        big_n.append(facts[k] * seq.n(k, j))
-        big_c.append(-sum(map(mul, map(mul, rows[k], big_c), reversed(big_n))))
+        big_n.append(fact * seq.n(k, j))
+        big_c.append(-sum(map(mul, map(mul, row, big_c), reversed(big_n))))
         yield big_c[-1]
+        row = [1, *map(add, row, row[1:]), 1]
+        fact *= k + 1
 
 
 def _difference_terms(seq: NSequence, j: int, order: int):
@@ -162,8 +140,7 @@ def log_derivative_ord(seq: NSequence, j: int) -> int:
     reachable class needs) and stops at the first nonzero coefficient.
     That leading coefficient E_v = v! * p * N(v, a) must be a positive
     multiple of v! * p; anything else raises SanityFailure.  An all-zero
-    series at that order raises AllZeroToOrder, which the full checks
-    count as a class off, not as an answer.
+    series at that order raises AllZeroToOrder, not an answer.
     """
     ctx = seq.ctx
     cap = max(ctx.d + 2, 2 * ctx.d)

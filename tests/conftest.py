@@ -109,6 +109,39 @@ def counter_row_supports(ctx: FieldContext) -> tuple:
     return tuple(map(tuple, rows))
 
 
+def witness_problems(p: int, d: int, omega: int, witnesses, per_class_s) -> list:
+    """What is wrong with upper-bound witnesses, from p, d and omega alone.
+
+    Independent of cyclotomy.check_witnesses: the d-th powers are listed
+    as omega^(d*u), and each b's class is read off walk_classes, not
+    tested by a power.  Every class needs exactly one witness, after its
+    parent's, whose b = b_parent + y (b = y = 1 at the root, class 0) is a
+    sum of per_class_s[j] powers.
+    """
+    powers = {pow(omega, d * u, p) for u in range((p - 1) // d)}
+    classes = walk_classes(p, omega, d)
+    done: dict = {}
+    problems = []
+    for w in witnesses:
+        parent = done.get(w.parent)
+        if w.parent is None and w.j == 0 and w.y == 1:
+            base, length = 0, 0
+        elif parent is not None:
+            base, length = parent.b, parent.length
+        else:
+            problems.append(w)
+            continue
+        if (w.j in done or w.y not in powers or classes[w.b] != w.j
+                or w.b != (base + w.y) % p or w.length != length + 1
+                or w.length != per_class_s[w.j]):
+            problems.append(w)
+            continue
+        done[w.j] = w
+    if len(done) != d:
+        problems.append(sorted(set(range(d)) - set(done)))
+    return problems
+
+
 def definitional_cyclotomic_counts(ctx: FieldContext) -> list[list[int]]:
     """(i, j) counted straight from the defining double loop over (u, v)."""
     p, d, f = ctx.p, ctx.d, ctx.f

@@ -107,9 +107,10 @@ def test_resolve_sign_rejects_doctored_order3_table():
     table = compute_table(make_context(13, 3))
     assert table.counts == ((0, 1, 2), (1, 2, 1), (2, 1, 1))
     # (1,1) and (2,2) up by one, (1,2) and (2,1) down by one: still
-    # symmetric with the row sums intact, so only the inner entries show it
+    # symmetric with the row sums intact, but (i, j) = (-i, j - i) breaks
     doctored = table_from_counts(table.ctx, ((0, 1, 2), (1, 3, 0), (2, 0, 2)))
-    assert verify_identities(doctored).passed
+    report = verify_identities(doctored)
+    assert [c.name for c in report.failures()] == ["reflection"]
     with pytest.raises(FormulaMismatch):
         resolve_sign(represent(13, KIND_D3), doctored)
     with pytest.raises(FormulaMismatch):

@@ -1,10 +1,15 @@
 import pytest
 
-from cyclomod import compute_table, make_context, primes_in_range, verify_identities
+from cyclomod import (
+    compute_table, make_context, primes_in_range, solve, verify_identities,
+)
+from cyclomod.cyclotomy import check_witnesses, upper_bound_witnesses
 from cyclomod.errors import ScaleGuard
 from cyclomod.sweep import admissible_orders
 
-from conftest import bool_matrix, definitional_cyclotomic_counts, table_from_counts
+from conftest import (
+    bool_matrix, definitional_cyclotomic_counts, table_from_counts, witness_problems,
+)
 
 
 def test_table_p7_d3():
@@ -82,12 +87,22 @@ def test_verify_identities_pass():
     assert report.failures() == []
 
 
-def test_verify_identities_skips_symmetry_when_f_odd():
-    report = verify_identities(compute_table(make_context(29, 4)))
+def test_verify_identities_checks_the_relations_at_odd_f():
+    # f = 7: (i, j) = (j + d/2, i + d/2) stands in for symmetry
+    table = compute_table(make_context(29, 4))
+    report = verify_identities(table)
     assert report.passed
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["symmetry"].skipped
+    assert [c.name for c in report.checks] == [
+        "row-sums", "total-count", "reflection", "symmetry"]
+    assert table.counts == ((2, 3, 0, 2), (1, 1, 2, 3), (2, 1, 2, 1), (1, 2, 3, 1))
+    # a rectangle move keeps the row sums; (0,0) = 3 is not (2,2) = 2
+    doctored = table_from_counts(
+        table.ctx, ((3, 2, 0, 2), (0, 2, 2, 3), (2, 1, 2, 1), (1, 2, 3, 1)))
+    by_name = {c.name: c for c in verify_identities(doctored).checks}
     assert by_name["row-sums"].passed
+    assert not by_name["symmetry"].passed
+    assert by_name["symmetry"].detail.startswith(
+        "(i, j) = (j + d/2, i + d/2) fails at: [(0, 0)")
 
 
 def test_verify_identities_p13_d4():
@@ -117,3 +132,16 @@ def test_walk_lengths_reach_theta(p, d):
 def test_table_past_the_cap_is_refused_before_counting():
     with pytest.raises(ScaleGuard, match="would need 400400100 cells"):
         compute_table(make_context(20011, 20010))
+
+
+def test_witnesses_check_from_the_field_alone_for_every_key_below_200():
+    for p in primes_in_range(3, 199):
+        for d in admissible_orders(p):
+            solution = solve(make_context(p, d))
+            ctx = solution.ctx
+            witnesses, missing = upper_bound_witnesses(solution.seq.table)
+            assert missing == [], (p, d)
+            assert witness_problems(
+                p, ctx.d, ctx.omega, witnesses, solution.per_class_s) == [], (p, d)
+            assert check_witnesses(
+                p, ctx.d, ctx.omega, witnesses, solution.per_class_s) == [], (p, d)

@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import sys
 import time
+from dataclasses import replace
+from itertools import combinations, permutations
 
 import pytest
 
-from cyclomod import ffield, make_context, solve
+from cyclomod import compute_table, ffield, make_context, period_polynomial, solve
 from cyclomod.cli import main
 from cyclomod.closedform import small_f_lengths
 from cyclomod.errors import CyclomodError, InputError, ScaleGuard
@@ -22,6 +25,7 @@ from cyclomod.sweep import (
     scan_completed,
     solve_single,
 )
+from cyclomod.waring import NSequence
 
 from conftest import table_from_counts
 
@@ -56,17 +60,17 @@ def test_solve_single_fast_leaves_closed_form_unset():
 
 def test_full_checks_grow_the_rows_that_solve_skips_at_small_f():
     # at f <= 2 solve answers from the closed form and leaves the rows at
-    # k = 1; the series valuation and the low-order identities grow them
+    # k = 1; the low-order identities grow them to k = 3
     for p, d in [(7, 3), (31, 15), (37, 36)]:
         solution = solve(make_context(p, d))
         assert solution.method == "closed-form"
         assert solution.seq.k_max == 1
         checks = full_checks(solution)
         assert [c.name for c in checks if not c.passed] == [], (p, d)
-        assert {"series-valuation-agreement", "low-order-count-identities"} <= {
+        assert {"witness-upper-bounds", "low-order-count-identities"} <= {
             c.name for c in checks
         }
-        assert solution.seq.k_max >= max(3, solution.g), (p, d)
+        assert solution.seq.k_max >= 3, (p, d)
 
 
 def test_emit_json_field_order_and_strings():
@@ -380,6 +384,24 @@ def test_cli_period(capsys):
     assert data["discriminant"] == "13"
 
 
+def test_cli_period_prints_a_discriminant_past_the_digit_limit(capsys):
+    # the discriminant of (10009, 24) has 726 digits; str() of it refuses
+    # under a 640-digit limit, and the printed value must not depend on it
+    ctx = make_context(10009, 24)
+    expected = period_polynomial(NSequence(compute_table(ctx), 23)).discriminant
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(expected)
+        assert main(["period", "-p", "10009", "-d", "24"]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    printed = json.loads(capsys.readouterr().out)["discriminant"]
+    assert len(printed) == 726
+    assert int(printed) == expected
+
+
 def test_cli_series(capsys):
     assert main(["series", "-p", "7", "-d", "3", "-j", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -425,12 +447,11 @@ def test_oversized_recurrence_refused_before_the_field(monkeypatch, capsys):
         assert capsys.readouterr().err == (
             f"error: series order 4002 is over the cap of {MAX_SERIES_ORDER}\n"
         )
-    # the full checks scan the series to g = 4000, refused once solved
-    refusal = "the series route would scan to order 4000"
-    assert main(["verify", "-p", "4001", "-d", "4000"]) == 2
-    assert refusal in capsys.readouterr().err
-    with pytest.raises(ScaleGuard, match=refusal):
-        solve_single(4001, 4000, "full")
+    # the full checks grow the rows to k = 3 only, and pass at g = 4000
+    assert main(["verify", "-p", "4001", "-d", "4000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "4/4 checks passed"
+    assert all(line.startswith("PASS (p=4001, d=4000) ") for line in lines[:-1])
     # gd and sd read the table, whose 1.6e7 cells fit, and grow no row
     assert main(["gd", "-p", "4001", "-d", "4000"]) == 0
     assert capsys.readouterr().out == "4000\n"
@@ -468,26 +489,75 @@ def test_oversized_oracle_counts_refused_before_the_field(monkeypatch, capsys):
     )
 
 
-def test_full_checks_count_a_series_scan_that_gives_up_as_off(monkeypatch):
-    # (13, 3) has theta = 0, so class alpha is scanned as j = alpha; a scan
-    # that gives up is no answer, whatever brute force says
-    import cyclomod.series as series_module
-    from cyclomod.errors import AllZeroToOrder
+def test_full_checks_fail_a_witness_that_does_not_check(monkeypatch):
+    # a witness whose y is no d-th power proves nothing for its class, and
+    # the classes below it go unproved too
+    import cyclomod.cyclotomy as cyclotomy_module
 
-    real = series_module.log_derivative_ord
+    real = cyclotomy_module.upper_bound_witnesses
 
-    def gives_up_on_class_2(seq, j):
-        if j == 2:
-            raise AllZeroToOrder("synthetic: all zero")
-        return real(seq, j)
+    def tampered(table):
+        witnesses, missing = real(table)
+        w = witnesses[1]
+        witnesses[1] = replace(w, y=w.y * table.ctx.omega % table.ctx.p)
+        return witnesses, missing
 
     solution = solve(make_context(13, 3))
-    monkeypatch.setattr(series_module, "log_derivative_ord", gives_up_on_class_2)
+    monkeypatch.setattr(cyclotomy_module, "upper_bound_witnesses", tampered)
     failed = [c for c in full_checks(solution) if not c.passed]
-    assert [c.name for c in failed] == ["series-valuation-agreement"]
+    assert [c.name for c in failed] == ["witness-upper-bounds"]
     assert failed[0].detail == (
-        f"classes off: [(2, None, {solution.per_class_s[2]})]"
+        "class 1: y is not a d-th power, b is not b_parent + y; "
+        "no proved witness for classes [1]"
     )
+
+
+def test_a_spurious_incidence_on_a_tree_edge_fails_the_witnesses(monkeypatch, capsys):
+    # (37, 6) has no incidence at (0, 2); a rectangle move that puts one
+    # there (and keeps every row and column sum) makes 0 -> 2 the tree edge
+    # into class 2, and no x in class 0 has 1 + x in class 2
+    import cyclomod.waring as waring_module
+
+    ctx = make_context(37, 6)
+    counts = [list(row) for row in compute_table(ctx).counts]
+    assert counts[0][2] == 0 and counts[0][4] and counts[2][2]
+    counts[0][2] += 1
+    counts[2][4] += 1
+    counts[0][4] -= 1
+    counts[2][2] -= 1
+    doctored = table_from_counts(ctx, counts)
+    monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
+    assert main(["verify", "-p", "37", "-d", "6"]) == 1
+    assert (
+        "FAIL (p=37, d=6) witness-upper-bounds: tree edge 0 -> 2 has no "
+        "incidence; no proved witness for classes [2]"
+    ) in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("p,d,moves", [(13, 3, 14), (37, 6, 218), (61, 6, 354),
+                                       (73, 8, 920)])
+def test_every_rectangle_move_fails_the_table_identities(p, d, moves):
+    # +1 at (i, j) and (i2, j2), -1 at (i, j2) and (i2, j) keeps every row
+    # and column sum, so the row-sum and tuple-count checks cannot see it
+    solution = solve(make_context(p, d))
+    table = solution.seq.table
+    dense = table.counts
+    seen = 0
+    for i, i2 in combinations(range(d), 2):
+        for j, j2 in permutations(range(d), 2):
+            if not (dense[i][j2] and dense[i2][j]):
+                continue
+            counts = [list(row) for row in dense]
+            counts[i][j] += 1
+            counts[i2][j2] += 1
+            counts[i][j2] -= 1
+            counts[i2][j] -= 1
+            doctored = replace(
+                solution, seq=NSequence(table_from_counts(table.ctx, counts)))
+            failed = [c.name for c in full_checks(doctored) if not c.passed]
+            assert "table-identities" in failed, (i, j, i2, j2)
+            seen += 1
+    assert seen == moves
 
 
 def test_a_table_both_routes_leave_unanswered_gives_no_record(monkeypatch, capsys):
@@ -509,28 +579,23 @@ def test_a_table_both_routes_leave_unanswered_gives_no_record(monkeypatch, capsy
     assert "InternalDisagreement" in capsys.readouterr().err
 
 
-def test_full_verification_refuses_series_scan_over_the_cap(monkeypatch, capsys):
-    import cyclomod.series as series_module
-
-    refusal = (
-        "p=601, d=600: the series route would scan to order 600, "
-        f"over the cap of {MAX_SERIES_ORDER}"
-    )
-    start = time.perf_counter()
-    assert main(["verify", "-p", "601", "-d", "600"]) == 2
-    assert time.perf_counter() - start < 10
-    assert capsys.readouterr().err == f"error: {refusal}\n"
+def test_full_verification_answers_past_the_series_cap(capsys):
+    # g = 600 is over series.MAX_SERIES_ORDER, which caps the series command
+    # alone; every check passes along a 600-deep witness tree
+    assert main(["verify", "-p", "601", "-d", "600"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "4/4 checks passed"
+    assert [line.split(") ")[1] for line in lines[:-1]] == [
+        "table-identities", "oracle-agreement", "witness-upper-bounds",
+        "low-order-count-identities"]
+    assert all(line.startswith("PASS (p=601, d=600) ") for line in lines[:-1])
     assert main(["sweep", "-p", "601", "-d", "600", "--verify", "full"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"sweep: (p=601, d=600) failed: ScaleGuard: {refusal}\n"
-    )
-    # g = 3 for (7, 3): refused only once the cap is below it
-    monkeypatch.setattr(series_module, "MAX_SERIES_ORDER", 3)
-    assert main(["verify", "-p", "7", "-d", "3"]) == 0
-    monkeypatch.setattr(series_module, "MAX_SERIES_ORDER", 2)
-    assert main(["verify", "-p", "7", "-d", "3"]) == 2
+    assert captured.err == ""
+    record = json.loads(captured.out)
+    assert record["g"] == "600"
+    fast = solve_single(601, 600, "fast")
+    assert record["per_class_s"] == [str(s) for s in fast.per_class_s]
 
 
 def test_cli_closed(capsys):
