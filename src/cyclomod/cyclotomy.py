@@ -9,15 +9,17 @@ a column-major sparse form: three flat tuples holding, column by column,
 the row and the count of every nonzero entry, with the offset at which
 each column starts.  The pass works a chunk of the power-class array at a
 time, with every incidence of the chunk coded at once in integer lanes, so
-no Python-level step runs per residue except in the final tally.  The
-recurrence pushes values along the columns, the walks read them as the
-reversed edges, and the classical checks read the flat tuples once; the
-row view and the dense d x d matrix are derived only when a printer, the
-order-3 and order-4 closed forms or a test asks for them.  The full checks
-also build upper-bound witnesses: a breadth-first tree over the rows from
-class 0, one incidence per tree edge found in a second pass over the same
-codes, and from them an explicit sum of powers in every class, which
-check_witnesses proves from p, d and omega alone.  The definitional
+no Python-level step runs per residue except in the final tally.  At
+d <= 4, past one chunk, no code is formed: the class bits of x and x + 1
+are read as bit planes, and each cell follows from popcounts of their
+ANDs.  The recurrence pushes values along the columns, the walks read them
+as the reversed edges, and the classical checks read the flat tuples once;
+the row view and the dense d x d matrix are derived only when a printer,
+the order-3 and order-4 closed forms or a test asks for them.  The full
+checks also build upper-bound witnesses: a breadth-first tree over the
+rows from class 0, one incidence per tree edge found in a second pass over
+the same codes, and from them an explicit sum of powers in every class,
+which check_witnesses proves from p, d and omega alone.  The definitional
 double loop and the per-residue tally are kept in the test suite as
 independent oracles.
 """
@@ -71,10 +73,20 @@ class CyclotomyTable:
     col_rows: tuple[int, ...] = field(repr=False)
     col_counts: tuple[int, ...] = field(repr=False)
 
-    def column(self, j: int) -> Iterator[tuple[int, int]]:
+    def column(self, j: int) -> tuple[tuple[int, int], ...]:
         """The nonzero (i, count) pairs of column j, by ascending i."""
-        a, b = self.col_starts[j], self.col_starts[j + 1]
-        return zip(self.col_rows[a:b], self.col_counts[a:b])
+        return self.columns[j]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every column's (i, count) pairs; built on first use.
+
+        The recurrence pushes each value along a whole column, so the pairs
+        are zipped once per table rather than once per push.
+        """
+        pairs = tuple(zip(self.col_rows, self.col_counts))
+        starts = self.col_starts
+        return tuple(map(pairs.__getitem__, map(slice, starts[:-1], starts[1:])))
 
     @cached_property
     def row_supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -167,15 +179,68 @@ def _coded_chunks(ctx: FieldContext) -> Iterator[tuple[int, bytes]]:
         yield lo, (y * d + x).to_bytes(lanes[1:].nbytes, sys.byteorder)
 
 
+def _tally_by_planes(ctx: FieldContext) -> dict[int, int]:
+    """The tally of the codes class(x + 1) * d + class(x), for d <= 4.
+
+    Classes below 4 take w = 2 bits, and w = 1 at d = 2.  A chunk of the
+    byte-wide class array, x = lo .. hi, is read once as an integer A: bit
+    b of class(x) is the plane (A >> b) & ones, one bit per lane, and bit
+    b of class(x + 1) the same plane one lane up.  Eight chunks in turn
+    take the eight bits of each lane, so every plane is dense.  For each
+    set T of the 2w planes, c(T) sums the popcount of their AND (c of no
+    plane is p - 2), holding one AND per plane on the way.  The
+    incidences whose set bits are exactly U then number the sum over T
+    containing U of (-1)^|T - U| c(T), by inclusion-exclusion, one step
+    per plane; U holds the w bits of class(x) below those of class(x + 1).
+    """
+    p, d = ctx.p, ctx.d
+    w = (d - 1).bit_length()
+    counts = [0] * (1 << 2 * w)
+    counts[0] = p - 2
+    shifts = [*range(w), *range(8, 8 + w)]  # the planes' bits in a lane pair
+
+    def add_ands(planes, both, mask, first):
+        # both is the AND of the planes in mask, all below first
+        for t in range(first, len(planes)):
+            more = planes[t] if both is None else both & planes[t]
+            counts[mask | 1 << t] += more.bit_count()
+            add_ands(planes, more, mask | 1 << t, t + 1)
+
+    classes = ctx.index_table
+    ones = {}
+    planes = [0] * len(shifts)
+    for k, lo in enumerate(range(1, p - 1, _TALLY_CHUNK)):
+        hi = min(lo + _TALLY_CHUNK, p - 1)
+        if hi - lo not in ones:
+            ones[hi - lo] = int.from_bytes(b"\1" * (hi - lo), "little")
+        # lane x - lo holds class(x), moved up to bit k % 8 of the lane
+        lanes = int.from_bytes(classes[lo : hi + 1], "little") << k % 8
+        at = ones[hi - lo] << k % 8
+        for t, b in enumerate(shifts):
+            planes[t] |= lanes >> b & at
+        if k % 8 == 7 or hi == p - 1:
+            add_ands(planes, None, 0, 0)
+            planes = [0] * len(shifts)
+    for t in range(2 * w):
+        for mask in range(len(counts)):
+            if not mask >> t & 1:
+                counts[mask] -= counts[mask | 1 << t]
+    low = (1 << w) - 1
+    return {(u >> w) * d + (u & low): n for u, n in enumerate(counts)
+            if n and u & low < d and u >> w < d}
+
+
 def compute_table(ctx: FieldContext) -> CyclotomyTable:
     """Count all cyclotomic numbers of order d in one pass over the units.
 
-    Each incidence x = 1..p-2 is coded as class(x + 1) * d + class(x),
-    a chunk of lanes at a time (_coded_chunks).  The codes are tallied
-    with one bytes.count per code when there are few, else with a
-    Counter.  Sorted, the codes are the entries in column-major order:
-    column j holds the codes j*d .. j*d + d-1, and each code's row is its
-    value mod d.  No d x d matrix is built, and the tally holds at most
+    Each incidence x = 1..p-2 is coded as class(x + 1) * d + class(x).
+    At d <= 4, past one _TALLY_CHUNK of incidences, the codes are tallied
+    from the bit planes of the classes (_tally_by_planes).  Otherwise they
+    are coded a chunk of lanes at a time (_coded_chunks) and tallied with
+    one bytes.count per code when there are few, else with a Counter.
+    Sorted, the codes are the entries in column-major order: column j
+    holds the codes j*d .. j*d + d-1, and each code's row is its value
+    mod d.  No d x d matrix is built, and the tally holds at most
     min(d*d, p-2) codes.
 
     Orders refused by require_table_fits are refused before counting.
@@ -184,12 +249,15 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
     require_table_fits(p, d)
     cells = d * d
     typecode = _code_typecode(d)
-    tally: Counter[int] = Counter()
-    for _, coded in _coded_chunks(ctx):
-        if cells <= _COUNTED_CODES:
-            tally.update({c: n for c in range(cells) if (n := coded.count(c))})
-        else:
-            tally.update(memoryview(coded).cast(typecode))
+    if d <= 4 and p - 2 > _TALLY_CHUNK:
+        tally = _tally_by_planes(ctx)
+    else:
+        tally = Counter()
+        for _, coded in _coded_chunks(ctx):
+            if cells <= _COUNTED_CODES:
+                tally.update({c: n for c in range(cells) if (n := coded.count(c))})
+            else:
+                tally.update(memoryview(coded).cast(typecode))
     codes = sorted(tally)
     col_counts = tuple(map(tally.__getitem__, codes))
     del tally

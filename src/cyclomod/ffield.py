@@ -10,11 +10,14 @@ array (one byte per residue when d <= 255, two or four above that).
 Walking the powers of omega writes the classes at random positions, which
 costs cache and TLB misses at every write.  So only a short run of powers
 is walked, and class(m*a) = class(a) + class(m) fills the rest in residue
-order: a pass with a small multiplier m (-1, then small primes) reads m
+order: a pass with a small multiplier m (-1 or a small prime) reads m
 contiguous slices and writes one chunk, with whole-chunk translate and
-integer operations.  A last pass proves class(omega*a) = class(a) + 1 for
-every a, which pins every class.  Construction is O(p) in time and O(p)
-bytes.
+integer operations.  The passes are planned beforehand on the exponents
+mod p - 1, where a pass by m shifts the labelled set by ind(m)
+(fillplan), so no pass counts what it labelled; the few exponents the plan
+leaves are walked.  A last pass proves
+class(omega*a) = class(a) + 1 for every a, which pins every class.
+Construction is O(p) in time and O(p) bytes.
 
 One field serves every order of its prime.  For d dividing the field's
 order L, class_d(a) = class_L(a) mod d, so FieldContext.for_order(d)
@@ -34,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, cycle
 
+from . import fillplan
 from .errors import (
     DegenerateOrder, InputError, NotPrime, SanityFailure, ScaleGuard, ZeroArgument,
 )
@@ -54,8 +58,8 @@ _SEED_POWERS = 1 << 17
 # The passes and the check read and write this many residues at a time.
 _FILL_CHUNK = 1 << 16
 
-# Passes stop once at most p >> _FEW_SHIFT residues are unset: labelling
-# those one at a time costs less than another O(p) pass.
+# Passes are planned until at most p >> _FEW_SHIFT exponents are left
+# unset: walking those costs less than another O(p) pass.
 _FEW_SHIFT = 8
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24, far
@@ -314,22 +318,19 @@ def _power_classes(p: int, omega: int, d: int) -> bytearray | array:
     labelled yet, in four stages on the one array:
 
     1. A walk labels omega^0 .. omega^(W-1), W = min((p-1)/2, _SEED_POWERS),
-       a block of consecutive powers at a time.  These writes land at
-       random positions, so W is kept small.
+       a block of consecutive powers at a time (_walk).  These writes land
+       at random positions, so W is kept small.
     2. Passes use class(m*a) = class(a) + class(m).  A pass with multiplier
        m labels every unset x whose x/m mod p is labelled, a chunk of x at a
        time: the chunk's image (_image) is relabelled by + class(m) mod d
-       and OR-ed into the chunk.  The first pass multiplies by -1, of class
-       theta; when W = (p-1)/2 it completes every pair (a, p - a) and is
-       the only one.  Later passes use the primes 2, 3, 5, ... but omega
-       (whose pass would label only the ends of the walked runs), with
-       class(m) found from m^f by baby-step giant-step.  Passes stop once
-       at most p >> _FEW_SHIFT residues are unset, or after a pass that
-       labels less than a quarter of the smaller of the labelled and the
-       unset residues: the labelled set is then nearly closed under the
-       multipliers, and more passes would gain little.
-    3. Each residue a still unset is labelled from the first labelled
-       a*omega^k, and so is each residue on the way (_fill_stragglers).
+       and OR-ed into the chunk.  Which passes run is planned beforehand on
+       the exponents mod p - 1 (fillplan.plan_passes), from ind(m) alone:
+       the first is the mirror by -1, and when W = (p-1)/2 it labels every
+       residue and is the only one.
+    3. The exponents the plan leaves unset, at most p >> _FEW_SHIFT of
+       them unless the candidates run out first, are walked like the seed
+       (_walk); the passes may have labelled some of them already, with
+       the same labels.
     4. _check_classes relabels to classes and proves every one right.
 
     SanityFailure is raised before any of that unless omega^((p-1)/2) = -1
@@ -341,35 +342,12 @@ def _power_classes(p: int, omega: int, d: int) -> bytearray | array:
     _require_generator(p, omega)
     classes = _class_array(d, p)
     seed = min(half, _SEED_POWERS)
-    size = min(_WALK_BLOCK, seed)
-    run = [1] * size
-    for j in range(1, size):
-        run[j] = run[j - 1] * omega % p
-    stride = run[-1] * omega % p  # omega^size
-    labels = cycle(range(1, d + 1))
-    label = classes.__setitem__
-    start = 1  # omega^k at the head of the current block
-    for k in range(0, seed, size):
-        block = [start * r % p for r in run[: seed - k]]
-        deque(map(label, block, labels), 0)
-        start = start * stride % p
-
-    few = p >> _FEW_SHIFT
-    unset = p - 1 - seed
-    primes = (m for m in range(2, p) if m != omega and is_prime(m))
-    for m in chain([-1], primes):
-        if unset <= few:
-            break
-        c = half % d if m == -1 else _class_of_unit(p, omega, d, m)
-        left = _fill_pass(classes, p, m, c, d)
-        # had the labels been at random positions, the pass would have
-        # labelled at least half the smaller of the two sets
-        stalled = 4 * (unset - left) < min(p - 1 - unset, unset)
-        unset = left
-        if stalled:
-            break
-    if unset:
-        _fill_stragglers(classes, p, omega, d)
+    _walk(classes, p, omega, d, [(0, seed)])
+    passes, gap = fillplan.plan_passes(p, omega, seed, p >> _FEW_SHIFT)
+    for m, ind in passes:
+        _fill_pass(classes, p, m, ind % d, d)
+    if gap:
+        _walk(classes, p, omega, d, gap)
     _check_classes(classes, p, omega, d)
     return classes
 
@@ -380,27 +358,28 @@ def _require_generator(p: int, omega: int) -> None:
         raise SanityFailure(f"omega={omega} does not have order p-1 mod {p}")
 
 
-def _class_of_unit(p: int, omega: int, d: int, m: int) -> int:
-    """ind(m) mod d, by baby-step giant-step in the order-d group <omega^f>.
+def _walk(
+    classes: bytearray | array, p: int, omega: int, d: int,
+    runs: list[tuple[int, int]],
+) -> None:
+    """Label omega^e with e mod d + 1 for every exponent e of each run [a, b).
 
-    m^f = (omega^f)^ind(m) with f = (p-1)/d, and omega^f has order d.
+    The powers of a run are made _WALK_BLOCK at a time, each block from
+    its first power and the shared powers omega^0 .. omega^(size-1).
     """
-    f = (p - 1) // d
-    base = pow(omega, f, p)
-    target = pow(m, f, p)
-    n = math.isqrt(d - 1) + 1  # n * n >= d
-    baby: dict[int, int] = {}
-    x = 1
-    for j in range(n):
-        baby[x] = j  # distinct, as n <= d
-        x = x * base % p
-    giant = pow(base, -n, p)
-    for i in range(n):
-        j = baby.get(target)
-        if j is not None:
-            return i * n + j
-        target = target * giant % p
-    raise SanityFailure(f"{m}^{f} is not a power of omega^{f} mod {p}")
+    size = min(_WALK_BLOCK, max(b - a for a, b in runs))
+    steps = [1] * size
+    for j in range(1, size):
+        steps[j] = steps[j - 1] * omega % p
+    stride = steps[-1] * omega % p  # omega^size
+    label = classes.__setitem__
+    for a, b in runs:
+        labels = chain(range(a % d + 1, d + 1), cycle(range(1, d + 1)))
+        start = pow(omega, a, p)  # the power at the head of the current block
+        for k in range(a, b, size):
+            block = [start * r % p for r in steps[: b - k]]
+            deque(map(label, block, labels), 0)
+            start = start * stride % p
 
 
 def _lane_bits(classes: bytearray | array) -> int:
@@ -454,8 +433,8 @@ def _image(
     return image
 
 
-def _fill_pass(classes: bytearray | array, p: int, m: int, c: int, d: int) -> int:
-    """Label each unset x whose x / m is labelled; return how many stay unset.
+def _fill_pass(classes: bytearray | array, p: int, m: int, c: int, d: int) -> None:
+    """Label each unset x whose x / m is labelled.
 
     m has class c, so x gets the label of x / m plus c mod d.  Unset lanes
     of the image stay 0, and OR keeps the labels the chunk already has.
@@ -474,40 +453,10 @@ def _fill_pass(classes: bytearray | array, p: int, m: int, c: int, d: int) -> in
             live = _set_lanes(x, ones, bits)
             return _lane_add(x, live, ones, bits, c, d, d - c + 1)
 
-    unset = 0
     for x0, x1, ones in _chunks(p, bits):
         chunk = classes[x0:x1]
         merged = _as_int(chunk) | relabel(_image(classes, p, m, x0, x1), ones)
-        unset += x1 - x0 - _set_lanes(merged, ones, bits).bit_count()
         classes[x0:x1] = _typed(merged, chunk)
-    return unset
-
-
-def _fill_stragglers(
-    classes: bytearray | array, p: int, omega: int, d: int
-) -> None:
-    """Label each unset a from the first labelled a*omega^k, and the run between."""
-    bits = _lane_bits(classes)
-    width = bits // 8
-    for x0, x1, ones in _chunks(p, bits):
-        unset = ones ^ _set_lanes(_as_int(classes[x0:x1]), ones, bits)
-        # the lanes in memory order, one nonzero byte in each unset lane
-        flags = unset.to_bytes((x1 - x0) * width, sys.byteorder)
-        i = flags.find(1)
-        while i >= 0:
-            a = x0 + i // width
-            if not classes[a]:
-                k = 1
-                y = a * omega % p
-                while not classes[y]:
-                    k += 1
-                    y = y * omega % p
-                label = (classes[y] - 1 - k) % d + 1
-                for _ in range(k):
-                    classes[a] = label
-                    label = label % d + 1
-                    a = a * omega % p
-            i = flags.find(1, i + 1)
 
 
 def _check_classes(classes: bytearray | array, p: int, omega: int, d: int) -> None:

@@ -122,17 +122,15 @@ class NSequence:
         first, rows, fks = self.first_k, self._m, self._fk
         p, f, theta = self._p, self._f, self._theta
         column_entries = min(f, self._d)
-        starts = self.table.col_starts
-        col_rows, col_counts = self.table.col_rows, self.table.col_counts
         while len(rows) <= k_max and (self._unset or not until_covered):
             k = len(rows)
             before, prev = rows[-2], rows[-1]
             self._charge(k, len(prev) * column_entries)
+            columns = self.table.columns  # built on the first row grown
             acc: dict[int, int] = {}
             get = acc.get
             for l, value in prev.items():
-                a, b = starts[l], starts[l + 1]
-                for v, c in zip(col_rows[a:b], col_counts[a:b]):
+                for v, c in columns[l]:
                     acc[v] = get(v, 0) + c * value
             if 0 in before:
                 acc[theta] = get(theta, 0) + f * before[0]

@@ -1,14 +1,15 @@
 import pytest
 
 from cyclomod import (
-    compute_table, make_context, primes_in_range, solve, verify_identities,
+    compute_table, cyclotomy, make_context, primes_in_range, solve, verify_identities,
 )
 from cyclomod.cyclotomy import check_witnesses, upper_bound_witnesses
 from cyclomod.errors import ScaleGuard
 from cyclomod.sweep import admissible_orders
 
 from conftest import (
-    bool_matrix, definitional_cyclotomic_counts, table_from_counts, witness_problems,
+    bool_matrix, counter_row_supports, definitional_cyclotomic_counts,
+    table_from_counts, witness_problems,
 )
 
 
@@ -42,6 +43,59 @@ def test_matches_definitional_double_loop_everywhere():
             ctx = make_context(p, d)
             fast = [list(row) for row in compute_table(ctx).counts]
             assert fast == definitional_cyclotomic_counts(ctx), (p, d)
+
+
+def test_bit_plane_tally_matches_the_oracles(monkeypatch):
+    # a small tally chunk sends small p through the bit planes, with chunk
+    # edges, a short last chunk and runs of eight chunks sharing the planes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tally_by_planes = cyclotomy._tally_by_planes
+    tallied = []
+
+    def counted(ctx):
+        tallied.append(ctx.p)
+        return tally_by_planes(ctx)
+
+    monkeypatch.setattr(cyclotomy, "_tally_by_planes", counted)
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.sampled_from(primes_in_range(5, 2000)))
+        d = draw(st.sampled_from([d for d in (2, 3, 4) if (p - 1) % d == 0]))
+        return p, d, draw(st.integers(min_value=1, max_value=p - 3))
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((5, 2, 1))  # three chunks of one incidence
+    @hypothesis.example((5, 4, 2))  # a last chunk of one incidence
+    @hypothesis.example((13, 2, 5))  # p - 2 = 2 * 5 + 1: just above a chunk multiple
+    @hypothesis.example((13, 3, 5))
+    @hypothesis.example((13, 4, 5))
+    @hypothesis.example((13, 4, 1))  # eleven chunks: a second run of eight
+    @hypothesis.example((1009, 4, 63))  # sixteen chunks, the last short
+    @hypothesis.example((1993, 3, 1990))  # two chunks, the last of one incidence
+    def check(case):
+        p, d, chunk = case
+        monkeypatch.setattr(cyclotomy, "_TALLY_CHUNK", chunk)
+        ctx = make_context(p, d)
+        tallied.clear()
+        table = compute_table(ctx)
+        assert tallied == [p], case
+        assert table.row_supports == counter_row_supports(ctx), case
+        if p < 400:
+            assert [list(row) for row in table.counts] == (
+                definitional_cyclotomic_counts(ctx)), case
+
+    check()
+    # the default chunk: one chunk keeps the per-code count, two take planes
+    monkeypatch.undo()
+    monkeypatch.setattr(cyclotomy, "_tally_by_planes", counted)
+    for p, d, planes in ((16411, 3, [16411]), (16417, 4, [16417]), (16381, 4, [])):
+        tallied.clear()
+        ctx = make_context(p, d)
+        assert compute_table(ctx).row_supports == counter_row_supports(ctx), p
+        assert tallied == planes, p
 
 
 def test_row_sum_identity_all_primes():

@@ -1,10 +1,11 @@
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import islice
 
 import pytest
 
-from cyclomod import compute_table, ffield, make_context, primes_in_range
+from cyclomod import compute_table, ffield, fillplan, make_context, primes_in_range
 from cyclomod.errors import (
     DegenerateOrder, InputError, NotPrime, SanityFailure, ScaleGuard, ZeroArgument,
 )
@@ -366,20 +367,21 @@ def test_derived_order_must_divide_the_field_order():
 
 
 def _count_fill_stages(monkeypatch) -> Counter:
-    """Count multiplier passes (by sign of m) and straggler fills."""
+    """Count multiplier passes (by sign of m) and plans that leave a gap."""
     ran: Counter = Counter()
-    fill_pass, fill_stragglers = ffield._fill_pass, ffield._fill_stragglers
+    fill_pass, plan_passes = ffield._fill_pass, fillplan.plan_passes
 
     def counted_pass(classes, p, m, c, d):
         ran["mirror" if m == -1 else "multiplier"] += 1
         return fill_pass(classes, p, m, c, d)
 
-    def counted_stragglers(*args):
-        ran["stragglers"] += 1
-        fill_stragglers(*args)
+    def counted_plan(*args):
+        passes, gap = plan_passes(*args)
+        ran["stragglers"] += bool(gap)
+        return passes, gap
 
     monkeypatch.setattr(ffield, "_fill_pass", counted_pass)
-    monkeypatch.setattr(ffield, "_fill_stragglers", counted_stragglers)
+    monkeypatch.setattr(fillplan, "plan_passes", counted_plan)
     return ran
 
 
@@ -397,10 +399,11 @@ def test_multiplier_passes_match_the_walk(monkeypatch):
         st.integers(min_value=1, max_value=8),
     )
     @hypothesis.example(3, 1, 8)
-    @hypothesis.example(109, 8, 8)  # the pass by 3 stalls: stragglers finish
+    @hypothesis.example(109, 8, 8)  # five passes close the plan
     @hypothesis.example(1021, 8, 8)  # d = 255: last byte classes
-    @hypothesis.example(1543, 4, 3)  # d = 257 on two-byte lanes
-    @hypothesis.example(2999, 16, 2)
+    @hypothesis.example(1543, 4, 3)  # d = 257 on two-byte lanes; a gap is walked
+    @hypothesis.example(2999, 16, 2)  # a gap of 88 runs is walked
+    @hypothesis.example(2999, 1, 8)  # fourteen passes
     def check(p, seed, few_shift):
         monkeypatch.setattr(ffield, "_SEED_POWERS", seed)
         monkeypatch.setattr(ffield, "_FEW_SHIFT", few_shift)
@@ -411,6 +414,65 @@ def test_multiplier_passes_match_the_walk(monkeypatch):
 
     check()
     assert ran["mirror"] and ran["multiplier"] and ran["stragglers"], ran
+
+
+def test_plan_closes_the_largest_fields_in_seven_passes(monkeypatch):
+    # the 16 largest primes p = 1 mod 4 up to the default cap; the plan
+    # needs neither the class array nor, at p <= 2^18, any discrete log
+    top = list(islice(filter(is_prime, range(ffield.DEFAULT_MAX_P - 3, 0, -4)), 16))
+    assert top[0] == 4194301 and 4193869 in top
+    for p in top:
+        omega = smallest_primitive_root(p)
+        few = p >> ffield._FEW_SHIFT
+        passes, gap = fillplan.plan_passes(p, omega, ffield._SEED_POWERS, few)
+        assert passes[0] == (-1, (p - 1) // 2), p
+        assert len(passes) <= 7, (p, passes)
+        assert sum(b - a for a, b in gap) <= few, (p, gap)
+        assert all(pow(omega, ind, p) == m % p for m, ind in passes), p
+
+    def no_log(p, omega):
+        raise AssertionError(f"a discrete log was computed at p={p}")
+
+    monkeypatch.setattr(fillplan, "discrete_log", no_log)
+    for p in (262139, 65537, 13, 3):  # 262139 is the largest prime below 2^18
+        half = (p - 1) // 2
+        assert fillplan.plan_passes(p, smallest_primitive_root(p), half, 0) == (
+            [(-1, half)], []), p
+
+
+def test_plan_gap_is_what_the_passes_leave():
+    # the runs of the gap are sorted, disjoint and exactly the exponents
+    # outside the planned set, on plans that close and plans that stop short
+    for p, seed, few in ((109, 2, 0), (1543, 4, 192), (2999, 16, 749), (2999, 1, 11)):
+        omega = smallest_primitive_root(p)
+        passes, gap = fillplan.plan_passes(p, omega, seed, few)
+        walked = [e for a, b in gap for e in range(a, b)]
+        assert walked == sorted(set(walked))
+        assert len(walked) <= few
+        labelled = set(range(seed))
+        for _, ind in passes:
+            labelled |= {(e + ind) % (p - 1) for e in labelled}
+        assert set(walked) == set(range(p - 1)) - labelled, (p, seed)
+
+
+def test_skipping_the_stragglers_fails_the_check(monkeypatch):
+    # a plan that claims no gap where one is left: the unset residues read
+    # as class 0, which the proof of class(omega * a) = class(a) + 1 refuses
+    plan_passes = fillplan.plan_passes
+    gaps = []
+
+    def no_stragglers(*args):
+        passes, gap = plan_passes(*args)
+        gaps.append(gap)
+        return passes, []
+
+    monkeypatch.setattr(fillplan, "plan_passes", no_stragglers)
+    monkeypatch.setattr(ffield, "_SEED_POWERS", 16)
+    monkeypatch.setattr(ffield, "_FEW_SHIFT", 2)
+    for p, d in ((2999, 2), (2999, 1499), (1543, 257)):
+        with pytest.raises(SanityFailure, match="omega="):
+            ffield._power_classes(p, smallest_primitive_root(p), d)
+        assert gaps.pop(), (p, d)
 
 
 @pytest.mark.parametrize(
