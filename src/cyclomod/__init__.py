@@ -11,33 +11,47 @@ reads neither the table nor the class array.  A class on which either
 route is silent fails like a disagreement.  A brute-force oracle only
 checks: the full checks compare it with every class, and it never
 supplies an answer.
+
+Importing the package loads none of its modules.  Each name of __all__
+is resolved from its module on first use (PEP 562), so a command loads
+only the modules it runs.
 """
 
-from .closedform import closed_g, diophantine_witness, represent, resolve_sign
-from .cyclotomy import compute_table, verify_identities
-from .ffield import make_context, primes_in_range
-from .oracle import brute_s, dp_counts, power_set
-from .periods import period_polynomial, power_sums
-from .series import i_series, log_derivative_ord
-from .waring import solve
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "brute_s",
-    "closed_g",
-    "compute_table",
-    "diophantine_witness",
-    "dp_counts",
-    "i_series",
-    "log_derivative_ord",
-    "make_context",
-    "period_polynomial",
-    "power_set",
-    "power_sums",
-    "primes_in_range",
-    "represent",
-    "resolve_sign",
-    "solve",
-    "verify_identities",
-]
+# public name -> the module that defines it
+_SOURCES = {
+    "brute_s": "oracle",
+    "closed_g": "closedform",
+    "compute_table": "cyclotomy",
+    "diophantine_witness": "closedform",
+    "dp_counts": "oracle",
+    "i_series": "series",
+    "log_derivative_ord": "series",
+    "make_context": "ffield",
+    "period_polynomial": "periods",
+    "power_set": "oracle",
+    "power_sums": "periods",
+    "primes_in_range": "ffield",
+    "represent": "closedform",
+    "resolve_sign": "closedform",
+    "solve": "waring",
+    "verify_identities": "cyclotomy",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,11 @@ and worker count (CYCLOMOD_JOBS).  Both follow one policy: a malformed
 value is refused as invalid input (exit 2) with the variable named, never
 ignored.  A worker count below 1, from --jobs or CYCLOMOD_JOBS, is refused
 the same way.
+
+Importing this module loads only what sd, sweep and verify run, since
+every call pays for its imports at start-up: period imports
+cyclomod.periods and decimal when it runs, and sweep imports its process
+pool only at --jobs > 1.
 """
 
 from __future__ import annotations
@@ -19,9 +24,8 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
 
-from . import closedform, cyclotomy, oracle, periods, series, sweep, waring
+from . import closedform, cyclotomy, oracle, series, sweep, waring
 from .ffield import is_prime, make_context
 from .errors import CyclomodError, DegenerateOrder, InputError, NotPrime
 
@@ -72,6 +76,8 @@ def _decimal(n: int) -> str:
     str(n) refuses past sys.get_int_max_str_digits() digits (4300 by
     default); Decimal converts an int exactly without that limit.
     """
+    from decimal import Decimal
+
     return str(Decimal(n))
 
 
@@ -142,6 +148,8 @@ def cmd_cyclo(args) -> int:
 
 
 def cmd_period(args) -> int:
+    from . import periods
+
     ctx = make_context(args.prime, args.order, max_p=args.max_p,
                        guard=periods.require_degree)
     table = cyclotomy.compute_table(ctx)

@@ -17,7 +17,10 @@ mod p - 1, where a pass by m shifts the labelled set by ind(m)
 (fillplan), so no pass counts what it labelled; the few exponents the plan
 leaves are walked.  A last pass proves
 class(omega*a) = class(a) + 1 for every a, which pins every class.
-Construction is O(p) in time and O(p) bytes.
+Construction is O(p) in time and O(p) bytes.  The passes work 2^15
+residues at a time (_FILL_CHUNK): small enough that a chunk's transients
+do not make the allocator trim and regrow the heap between chunks, so the
+field's speed does not depend on what was imported before it.
 
 One field serves every order of its prime.  For d dividing the field's
 order L, class_d(a) = class_L(a) mod d, so FieldContext.for_order(d)
@@ -56,7 +59,13 @@ _WALK_BLOCK = 4096
 _SEED_POWERS = 1 << 17
 
 # The passes and the check read and write this many residues at a time.
-_FILL_CHUNK = 1 << 16
+# Each chunk of a pass makes a few transients of a chunk's bytes (slice,
+# image, their ints).  At 2^16 byte lanes, glibc trimmed and regrew the heap
+# between chunks unless an earlier import had raised its trim threshold:
+# make_context(4194301, 4) (CPython 3.11, x86-64) took ~14 000 minor faults
+# after a bare import of cyclomod.cli and ~2 000 after one that also loaded
+# multiprocessing.  At 2^15 it takes ~1 100 either way.
+_FILL_CHUNK = 1 << 15
 
 # Passes are planned until at most p >> _FEW_SHIFT exponents are left
 # unset: walking those costs less than another O(p) pass.

@@ -40,12 +40,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from operator import add, mul
+from typing import TYPE_CHECKING
 
 from .errors import AllZeroToOrder, SanityFailure, ScaleGuard
 from .waring import NSequence
+
+if TYPE_CHECKING:  # i_series, which builds them, imports it when it runs
+    from fractions import Fraction
 
 #: Cap on the truncation order of i_series, which the series command
 #: prints; nothing else scans the series.  Each coefficient is one
@@ -87,6 +90,8 @@ def require_order(order: int) -> None:
 
 def i_series(seq: NSequence, j: int, order: int) -> RationalSeries:
     """The class series I_j to the given truncation order."""
+    from fractions import Fraction
+
     require_order(order)
     if order >= 1:
         seq.extend(order - 1)

@@ -13,7 +13,9 @@ An order refused by its price, or every order when the shared field cannot
 be built, falls back to building its own context, so each failure is still
 reported against its own (p, d) key and the prime's other orders still
 print.  The writer consumes results in submission order, which keeps the
-output deterministic regardless of the worker count.  A record's elapsed
+output deterministic regardless of the worker count.  The process pool
+is imported only when a sweep runs more than one worker (--jobs > 1), so
+a single-worker sweep does not load multiprocessing.  A record's elapsed
 counts its own work, from deriving its context; the shared field's build
 time is added to the first record of the prime answered from it.
 
@@ -35,12 +37,10 @@ as they grow (waring.NSequence).
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterable, Iterator, TextIO
@@ -51,8 +51,6 @@ from .ffield import (
     FieldContext, _max_p_limit, make_context, prime_factors, primes_in_range,
     reduced_order,
 )
-
-log = logging.getLogger(__name__)
 
 CSV_COLUMNS = (
     "p",
@@ -375,7 +373,10 @@ def scan_completed(path: str, fmt: str) -> set[tuple[int, int]]:
         try:
             key = parse_record_key(line, fmt)
         except (ValueError, KeyError, json.JSONDecodeError):
-            log.warning("ignoring unparseable line in %s: %.60s", path, line)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "ignoring unparseable line in %s: %.60s", path, line)
             continue
         if key is not None:
             done.add(key)
@@ -437,6 +438,8 @@ def run_sweep(
     def results() -> Iterable:
         tasks = [(p, orders, verify_level, max_p) for p, orders in prime_orders(keys)]
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 # map() preserves submission order: it is the reorder buffer.
                 for outcomes in pool.map(_prime_job, tasks):

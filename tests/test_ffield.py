@@ -358,6 +358,24 @@ def test_derived_orders_from_four_byte_lanes():
         _same_context(field.for_order(d), make_context(65537, d))
 
 
+@pytest.mark.parametrize(
+    "p,d,derived",
+    [
+        (100003, 6, (2, 3)),  # byte lanes, four chunks at the default
+        (65537, 16384, (256, 128, 2)),  # 'H' lanes, reduced a chunk at a time
+    ],
+)
+def test_classes_do_not_depend_on_the_chunk(monkeypatch, p, d, derived):
+    # the passes, the check and the reduction all walk _chunks
+    arrays = []
+    for chunk in (1 << 10, 1 << 13, ffield._FILL_CHUNK):
+        monkeypatch.setattr(ffield, "_FILL_CHUNK", chunk)
+        field = make_context(p, d)
+        arrays.append([bytes(field.index_table),
+                       *(bytes(field.for_order(e).index_table) for e in derived)])
+    assert arrays[0] == arrays[1] == arrays[2]
+
+
 def test_derived_order_must_divide_the_field_order():
     field = make_context(13, 6)
     assert field.for_order(6) is field

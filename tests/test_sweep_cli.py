@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import sys
 import time
@@ -161,6 +162,22 @@ def test_resume_after_interruption(tmp_path):
         {k: v for k, v in json.loads(l).items() if k != "elapsed"} for l in ls
     ]
     assert strip(resumed) == strip(lines)
+
+
+def test_resume_warns_once_on_an_unparseable_line(tmp_path, caplog):
+    body = io.StringIO()
+    list(run_sweep(3, 13, verify_level="fast", out=body))
+    lines = body.getvalue().splitlines()
+    out = tmp_path / "records.jsonl"
+    out.write_text("\n".join([lines[0], "{not a record", *lines[1:]]) + "\n")
+
+    with caplog.at_level(logging.WARNING, logger="cyclomod.sweep"):
+        done = scan_completed(str(out), "json")
+
+    assert done == {parse_record_key(line, "json") for line in lines}
+    warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1
+    assert str(out) in warned[0].getMessage()
 
 
 def test_sweep_determinism_without_elapsed():
