@@ -12,11 +12,16 @@ costs cache and TLB misses at every write.  So only a short run of powers
 is walked, and class(m*a) = class(a) + class(m) fills the rest in residue
 order: a pass with a small multiplier m (-1 or a small prime) reads m
 contiguous slices and writes one chunk, with whole-chunk translate and
-integer operations.  The passes are planned beforehand on the exponents
-mod p - 1, where a pass by m shifts the labelled set by ind(m)
-(fillplan), so no pass counts what it labelled; the few exponents the plan
-leaves are walked.  A last pass proves
-class(omega*a) = class(a) + 1 for every a, which pins every class.
+integer operations.  The first pass is the mirror by -1, and from then on
+the labelled set is closed under a -> p - a, with class(p - a) =
+class(a) + theta.  So every pass blends only the lower half, residues
+1 .. (p-1)/2, and writes each blended chunk, relabelled by + theta and
+reversed, over its mirror in the upper half, which it neither reads nor
+ORs.  The passes are planned beforehand on the exponents mod p - 1, where
+a pass by m shifts the labelled set by ind(m) (fillplan), so no pass
+counts what it labelled; the few exponents the plan leaves are walked.
+A last pass proves class(omega*a) = class(a) + 1 for every a, which pins
+every class.
 Construction is O(p) in time and O(p) bytes.  The passes work 2^15
 residues at a time (_FILL_CHUNK): small enough that a chunk's transients
 do not make the allocator trim and regrow the heap between chunks, so the
@@ -58,13 +63,15 @@ _WALK_BLOCK = 4096
 # the default cap on p that is about p/32.
 _SEED_POWERS = 1 << 17
 
-# The passes and the check read and write this many residues at a time.
-# Each chunk of a pass makes a few transients of a chunk's bytes (slice,
-# image, their ints).  At 2^16 byte lanes, glibc trimmed and regrew the heap
-# between chunks unless an earlier import had raised its trim threshold:
-# make_context(4194301, 4) (CPython 3.11, x86-64) took ~14 000 minor faults
-# after a bare import of cyclomod.cli and ~2 000 after one that also loaded
-# multiprocessing.  At 2^15 it takes ~1 100 either way.
+# The passes and the check read and write this many residues at a time; a
+# pass blends this many lower-half residues and writes as many mirrored
+# ones.  Each chunk of a pass makes a few transients of a chunk's bytes
+# (image, their ints, the merged and mirrored lanes).  At 2^16 byte lanes,
+# glibc trimmed and regrew the heap between chunks unless an earlier import
+# had raised its trim threshold: make_context(4194301, 4) (CPython 3.11,
+# x86-64) took ~14 000 minor faults after a bare import of cyclomod.cli and
+# ~2 000 after one that also loaded multiprocessing.  At 2^15 it takes
+# ~1 100 either way.
 _FILL_CHUNK = 1 << 15
 
 # Passes are planned until at most p >> _FEW_SHIFT exponents are left
@@ -250,20 +257,24 @@ def make_context(
     if guard is not None:
         guard(p, d_eff)
     omega = smallest_primitive_root(p)
-    _require_generator(p, omega)
     return _context(p, omega, d_eff, _power_classes(p, omega, d_eff))
 
 
 def _context(p: int, omega: int, d: int, classes: bytearray | array) -> FieldContext:
     """The context of order d over a proven class array, with f and theta."""
     f = (p - 1) // d
-    theta = ((p - 1) // 2) % d
+    theta = _theta(p, d)
     expected_theta = 0 if f % 2 == 0 else d // 2
     if theta != expected_theta:
         raise SanityFailure(
             f"theta={theta} contradicts the parity rule for p={p}, d={d}"
         )
     return FieldContext(p=p, omega=omega, d=d, f=f, theta=theta, index_table=classes)
+
+
+def _theta(p: int, d: int) -> int:
+    """theta, the class of -1 mod d: ind(-1) = (p-1)/2."""
+    return ((p - 1) // 2) % d
 
 
 def _class_array(d: int, p: int) -> bytearray | array:
@@ -332,22 +343,30 @@ def _power_classes(p: int, omega: int, d: int) -> bytearray | array:
     2. Passes use class(m*a) = class(a) + class(m).  A pass with multiplier
        m labels every unset x whose x/m mod p is labelled, a chunk of x at a
        time: the chunk's image (_image) is relabelled by + class(m) mod d
-       and OR-ed into the chunk.  Which passes run is planned beforehand on
-       the exponents mod p - 1 (fillplan.plan_passes), from ind(m) alone:
-       the first is the mirror by -1, and when W = (p-1)/2 it labels every
-       residue and is the only one.
+       and OR-ed into the chunk.  Only the chunks of x = 1 .. (p-1)/2 are
+       blended; each is then written, relabelled by + theta and reversed,
+       over its mirror p - x (_fill_pass).  Which passes run is planned
+       beforehand on the exponents mod p - 1 (fillplan.plan_passes), from
+       ind(m) alone: the first is the mirror by -1, after which the
+       labelled set is closed under x -> p - x, as the half blend needs;
+       when W = (p-1)/2 the mirror labels every residue and is the only
+       pass.
     3. The exponents the plan leaves unset, at most p >> _FEW_SHIFT of
        them unless the candidates run out first, are walked like the seed
        (_walk); the passes may have labelled some of them already, with
        the same labels.
     4. _check_classes relabels to classes and proves every one right.
 
-    SanityFailure is raised before any of that unless omega^((p-1)/2) = -1
-    and omega has order p - 1, and by the check.
+    SanityFailure is raised before any of that unless omega has order
+    p - 1 (omega^((p-1)/2) = -1 is the quick first test of it), and by the
+    check.
     """
     half = (p - 1) // 2
     if pow(omega, half, p) != p - 1:
-        raise SanityFailure(f"omega={omega}: omega^{half} is not -1 mod {p}")
+        raise SanityFailure(
+            f"omega={omega} does not have order p-1 mod {p}: "
+            f"omega^{half} is not -1"
+        )
     _require_generator(p, omega)
     classes = _class_array(d, p)
     seed = min(half, _SEED_POWERS)
@@ -396,16 +415,16 @@ def _lane_bits(classes: bytearray | array) -> int:
     return 8 * memoryview(classes).itemsize
 
 
-def _chunks(p: int, bits: int):
-    """Residues 1 .. p-1 as (x0, x1, ones), a chunk [x0, x1) at a time.
+def _chunks(n: int, bits: int):
+    """Residues 1 .. n-1 as (x0, x1, ones), a chunk [x0, x1) at a time.
 
     Chunks hold at most _FILL_CHUNK residues, and ones holds 1 in each of
     the chunk's bits-wide lanes.
     """
     lane = (1).to_bytes(bits // 8, sys.byteorder)
     ones = {}
-    for x0 in range(1, p, _FILL_CHUNK):
-        x1 = min(x0 + _FILL_CHUNK, p)
+    for x0 in range(1, n, _FILL_CHUNK):
+        x1 = min(x0 + _FILL_CHUNK, n)
         if x1 - x0 not in ones:
             ones[x1 - x0] = _as_int(lane * (x1 - x0))
         yield x0, x1, ones[x1 - x0]
@@ -413,22 +432,19 @@ def _chunks(p: int, bits: int):
 
 def _image(
     classes: bytearray | array, p: int, m: int, x0: int, x1: int
-) -> bytearray:
+) -> bytes | bytearray:
     """The lanes classes[x / m mod p] for x = x0 .. x1-1, as bytes in memory order.
 
     m is -1 or a positive integer below p.  The x = m*a - j*p with x in
     [x0, x1) have the contiguous quotients a in [a0, a1) and step m, one
     such run for each j < m.  Lanes are copied as byte planes, since
-    bytearray slices with a step are cheap and array ones are not.
+    bytearray slices with a step are cheap and array ones are not; for
+    m = -1 the image is one reversed slice.
     """
+    if m == -1:
+        return bytes(classes[p - x0 : p - x1 : -1])
     w = memoryview(classes).itemsize
     image = bytearray((x1 - x0) * w)
-    if m == -1:
-        # reversing the bytes reverses the lanes and the bytes within each
-        mirror = bytes(classes[p - x1 + 1 : p - x0 + 1])[::-1]
-        for k in range(w):
-            image[k::w] = mirror[w - 1 - k :: w]
-        return image
     for j in range(m):
         a0 = -(-(x0 + j * p) // m)
         a1 = -(-(x1 + j * p) // m)
@@ -443,29 +459,53 @@ def _image(
 
 
 def _fill_pass(classes: bytearray | array, p: int, m: int, c: int, d: int) -> None:
-    """Label each unset x whose x / m is labelled.
+    """Label each unset x whose x / m is labelled, blending only the lower half.
 
     m has class c, so x gets the label of x / m plus c mod d.  Unset lanes
     of the image stay 0, and OR keeps the labels the chunk already has.
+    Only the chunks of x = 1 .. (p-1)/2 are blended, and each merged chunk
+    [x0, x1) is written back in place.  It is then relabelled by + theta
+    and written, lanes reversed, over its mirror [p - x1 + 1, p - x0 + 1),
+    as class(p - x) = class(x) + theta; the mirror is neither read nor
+    OR-ed.  No label is lost when m is -1, as the merged chunk holds its
+    mirror's labels, or when the labelled set is closed under x -> p - x,
+    as it is after the mirror pass.  Byte lanes are relabelled by one
+    translate each, wider lanes by integer-lane steps (_lane_add).
     """
     bits = _lane_bits(classes)
+    w = bits // 8
+    theta = _theta(p, d)
     if bits == 8:
-        table = bytes([0, *range(c + 1, d + 1), *range(1, c + 1)]).ljust(256, b"\0")
+        by = {k: bytes([0, *range(k + 1, d + 1), *range(1, k + 1)]).ljust(256, b"\0")
+              for k in (c, theta)}
 
         def relabel(lanes, ones):
-            return _as_int(lanes.translate(table))
+            return _as_int(lanes.translate(by[c]))
+
+        def mirrored(lanes, x, ones):
+            return lanes.translate(by[theta])
     else:
 
-        def relabel(lanes, ones):
-            # labels above d - c wrap; unset lanes are below that and stay 0
-            x = _as_int(lanes)
-            live = _set_lanes(x, ones, bits)
-            return _lane_add(x, live, ones, bits, c, d, d - c + 1)
+        def add(x, ones, k):
+            if not k:
+                return x
+            # labels above d - k wrap; unset lanes are below that and stay 0
+            return _lane_add(x, _set_lanes(x, ones, bits), ones, bits, k, d, d - k + 1)
 
-    for x0, x1, ones in _chunks(p, bits):
-        chunk = classes[x0:x1]
-        merged = _as_int(chunk) | relabel(_image(classes, p, m, x0, x1), ones)
-        classes[x0:x1] = _typed(merged, chunk)
+        def relabel(lanes, ones):
+            return add(_as_int(lanes), ones, c)
+
+        def mirrored(lanes, x, ones):
+            x = add(x, ones, theta)
+            return array(classes.typecode, x.to_bytes(len(lanes), sys.byteorder))
+
+    view = memoryview(classes).cast("B")
+    for x0, x1, ones in _chunks((p + 1) // 2, bits):
+        lower = view[x0 * w : x1 * w]
+        x = _as_int(lower) | relabel(_image(classes, p, m, x0, x1), ones)
+        lanes = x.to_bytes(len(lower), sys.byteorder)
+        lower[:] = lanes
+        classes[p - x0 : p - x1 : -1] = mirrored(lanes, x, ones)
 
 
 def _check_classes(classes: bytearray | array, p: int, omega: int, d: int) -> None:
@@ -488,10 +528,11 @@ def _check_classes(classes: bytearray | array, p: int, omega: int, d: int) -> No
         def step(lanes, ones):
             return lanes.translate(successor)
     else:
+        view, w = memoryview(classes).cast("B"), bits // 8
         for x0, x1, ones in _chunks(p, bits):
-            chunk = classes[x0:x1]
-            x = _as_int(chunk)
-            classes[x0:x1] = _typed(x - _set_lanes(x, ones, bits), chunk)
+            lanes = view[x0 * w : x1 * w]
+            x = _as_int(lanes)
+            lanes[:] = (x - _set_lanes(x, ones, bits)).to_bytes(len(lanes), sys.byteorder)
 
         def step(lanes, ones):
             x = _lane_add(_as_int(lanes), ones, ones, bits, 1, d, d - 1)
@@ -510,12 +551,6 @@ def _check_classes(classes: bytearray | array, p: int, omega: int, d: int) -> No
 def _as_int(lanes) -> int:
     """The lanes of a bytearray or array as one integer, in native order."""
     return int.from_bytes(lanes, sys.byteorder)
-
-
-def _typed(value: int, like: bytearray | array) -> bytearray | array:
-    """The inverse of _as_int, as lanes of the same type and length as like."""
-    raw = value.to_bytes(memoryview(like).nbytes, sys.byteorder)
-    return bytearray(raw) if type(like) is bytearray else array(like.typecode, raw)
 
 
 def _set_lanes(x: int, ones: int, bits: int) -> int:

@@ -384,14 +384,40 @@ def test_derived_order_must_divide_the_field_order():
             field.for_order(d)
 
 
+def _assert_mirrored(classes, p: int, d: int) -> None:
+    """The upper half of a class array is its lower half mirrored with + theta.
+
+    Labels are class + 1, with 0 for an unset residue, which stays 0.
+    """
+    theta = ((p - 1) // 2) % d
+    labels = list(classes)
+    for x in range(1, (p + 1) // 2):
+        label = labels[x]
+        assert labels[p - x] == (label and (label - 1 + theta) % d + 1), (p, d, x)
+
+
 def _count_fill_stages(monkeypatch) -> Counter:
-    """Count multiplier passes (by sign of m) and plans that leave a gap."""
+    """Count fill passes by kind and lane type, and plans that leave a gap.
+
+    Every pass is checked as it returns: it blended no chunk above (p-1)/2
+    (the chunks are those of the images it read), and its upper half is
+    its lower half mirrored with + theta.
+    """
     ran: Counter = Counter()
-    fill_pass, plan_passes = ffield._fill_pass, fillplan.plan_passes
+    fill_pass, plan_passes, image = ffield._fill_pass, fillplan.plan_passes, ffield._image
+    read = []
+
+    def recorded_image(classes, p, m, x0, x1):
+        read.append(x1)
+        return image(classes, p, m, x0, x1)
 
     def counted_pass(classes, p, m, c, d):
         ran["mirror" if m == -1 else "multiplier"] += 1
-        return fill_pass(classes, p, m, c, d)
+        ran[getattr(classes, "typecode", "B")] += 1
+        read.clear()
+        fill_pass(classes, p, m, c, d)
+        assert read and max(read) <= (p + 1) // 2, (p, m, max(read))
+        _assert_mirrored(classes, p, d)
 
     def counted_plan(*args):
         passes, gap = plan_passes(*args)
@@ -399,6 +425,7 @@ def _count_fill_stages(monkeypatch) -> Counter:
         return passes, gap
 
     monkeypatch.setattr(ffield, "_fill_pass", counted_pass)
+    monkeypatch.setattr(ffield, "_image", recorded_image)
     monkeypatch.setattr(fillplan, "plan_passes", counted_plan)
     return ran
 
@@ -510,6 +537,40 @@ def test_multiplier_passes_on_wide_lanes(monkeypatch, p, d, typecode):
     assert classes.typecode == typecode
     assert list(classes) == walk_classes(p, omega, d)
     assert ran["multiplier"], ran
+
+
+@pytest.mark.parametrize(
+    "p,d,typecode,theta",
+    [
+        (1009, 4, "B", 0),
+        (1009, 16, "B", 8),
+        (65537, 16384, "H", 0),
+        (1543, 514, "H", 257),
+        (65537, 32768, "I", 0),
+        (65537, 65536, "I", 32768),
+    ],
+)
+def test_passes_blend_the_lower_half_and_mirror_it(monkeypatch, p, d, typecode, theta):
+    # a short walk, so that several multiplier passes run on each lane type;
+    # _count_fill_stages checks every pass as it returns
+    assert ((p - 1) // 2) % d == theta
+    ran = _count_fill_stages(monkeypatch)
+    monkeypatch.setattr(ffield, "_SEED_POWERS", 16)
+    omega = smallest_primitive_root(p)
+    classes = ffield._power_classes(p, omega, d)
+    assert list(classes) == walk_classes(p, omega, d)
+    assert ran["mirror"] == 1 and ran["multiplier"] >= 3, ran
+    assert ran[typecode] == ran["mirror"] + ran["multiplier"], ran
+
+
+@pytest.mark.parametrize("p,d", [(13, 4), (65537, 32768)])
+def test_a_mirror_relabelled_wrong_fails_the_check(monkeypatch, p, d):
+    # the upper half written with theta + 1 in place of theta: theta = 2 on
+    # byte lanes, theta = 0 on four-byte lanes
+    theta = ffield._theta
+    monkeypatch.setattr(ffield, "_theta", lambda p, d: (theta(p, d) + 1) % d)
+    with pytest.raises(SanityFailure, match="omega="):
+        ffield._power_classes(p, smallest_primitive_root(p), d)
 
 
 def test_power_classes_at_a_million():
