@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import closedform, cyclotomy, oracle, series, sweep, waring
-from .ffield import is_prime, make_context
+from .ffield import _max_p_limit, is_prime, make_context
 from .errors import CyclomodError, DegenerateOrder, InputError, NotPrime
 
 EXIT_OK = 0
@@ -269,20 +269,38 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Print each check of every order; an order that raises is keyed on stderr.
+
+    As in sweep, a failing order does not stop the run.  The exit code is
+    1 if a check failed or an order raised anything but an InputError, else
+    2 if an order was refused with an InputError, else 0.
+    """
     pmin, pmax = _prime_bounds(args)
-    failed = 0
-    total = 0
+    # a malformed CYCLOMOD_MAX_P refuses the run instead of every order
+    max_p = _max_p_limit(args.max_p)
+    failed = total = 0
+    refused = broken = False
     keys = sweep.record_keys(pmin, pmax, args.order)
     for p, orders in sweep.prime_orders(keys):
         # one field per prime; an order it does not serve raises its own error
-        fields = sweep.prime_fields(p, orders, args.max_p)
+        fields = sweep.prime_fields(p, orders, max_p)
         for d in orders:
-            if d in fields:
-                ctx = fields[d].for_order(d)
-            else:
-                ctx = make_context(p, d, max_p=args.max_p,
-                                   guard=cyclotomy.require_table_fits)
-            for check in sweep.full_checks(waring.solve(ctx)):
+            try:
+                if d in fields:
+                    ctx = fields[d].for_order(d)
+                else:
+                    ctx = make_context(p, d, max_p=max_p,
+                                       guard=cyclotomy.require_table_fits)
+                checks = sweep.full_checks(waring.solve(ctx))
+            except Exception as exc:  # whatever the type, the failure stays keyed
+                print(f"verify: (p={p}, d={d}) failed: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                if isinstance(exc, InputError):
+                    refused = True
+                else:
+                    broken = True
+                continue
+            for check in checks:
                 total += 1
                 mark = "PASS" if check.passed else "FAIL"
                 line = f"{mark} (p={p}, d={d}) {check.name}"
@@ -292,7 +310,9 @@ def cmd_verify(args) -> int:
                 if not check.passed:
                     failed += 1
     print(f"{total - failed}/{total} checks passed")
-    return EXIT_OK if failed == 0 else EXIT_VERIFICATION
+    if failed or broken:
+        return EXIT_VERIFICATION
+    return EXIT_INVALID if refused else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,14 +8,15 @@ x = p-1, where 1 + x = 0), so it is counted in one O(p) pass straight into
 a column-major sparse form: three flat tuples holding, column by column,
 the row and the count of every nonzero entry, with the offset at which
 each column starts.  The pass works a chunk of the power-class array at a
-time, with every incidence of the chunk coded at once in integer lanes, so
-no Python-level step runs per residue except in the final tally.  At
-d <= 4, past one chunk, no code is formed: the class bits of x and x + 1
-are read as bit planes, and each cell follows from popcounts of their
-ANDs.  The recurrence pushes values along the columns, the walks read them
-as the reversed edges, and the classical checks read the flat tuples once;
-the row view and the dense d x d matrix are derived only when a printer,
-the order-3 and order-4 closed forms or a test asks for them.  The full
+time and tallies it one of two ways.  At d <= 8, past one chunk, no code
+is formed: the class bits of x and x + 1 are read as bit planes, and each
+cell follows from popcounts of their ANDs.  Every other table codes each
+chunk's incidences at once in integer lanes and tallies them with one
+Counter, so no Python-level step runs per residue.  The recurrence pushes
+values along the columns, the walks read them as the reversed edges, and
+the classical checks read the flat tuples once and return one CheckResult
+each; the row view and the dense d x d matrix are derived only when a
+printer, the order-3 and order-4 closed forms or a test asks for them.  The full
 checks also build upper-bound witnesses: a breadth-first tree over the
 rows from class 0, one incidence per tree edge found in a second pass over
 the same codes, and from them an explicit sum of powers in every class,
@@ -51,9 +52,6 @@ MAX_CELLS = 3 * 10**7
 # stays far below the p-entry class array.
 _TALLY_CHUNK = 1 << 14
 
-# Up to this many codes, one bytes.count per code beats a Counter.
-_COUNTED_CODES = 64
-
 
 @dataclass(frozen=True)
 class CyclotomyTable:
@@ -73,10 +71,6 @@ class CyclotomyTable:
     col_rows: tuple[int, ...] = field(repr=False)
     col_counts: tuple[int, ...] = field(repr=False)
 
-    def column(self, j: int) -> tuple[tuple[int, int], ...]:
-        """The nonzero (i, count) pairs of column j, by ascending i."""
-        return self.columns[j]
-
     @cached_property
     def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Every column's (i, count) pairs; built on first use.
@@ -92,8 +86,8 @@ class CyclotomyTable:
     def row_supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzero (j, count) pairs of each row i, by column; built on first use."""
         rows: list[list[tuple[int, int]]] = [[] for _ in range(self.ctx.d)]
-        for j in range(self.ctx.d):
-            for i, c in self.column(j):
+        for j, column in enumerate(self.columns):
+            for i, c in column:
                 rows[i].append((j, c))
         return tuple(map(tuple, rows))
 
@@ -102,10 +96,18 @@ class CyclotomyTable:
         """The dense d x d matrix, built on first use."""
         d = self.ctx.d
         dense = [[0] * d for _ in range(d)]
-        for j in range(d):
-            for i, c in self.column(j):
+        for j, column in enumerate(self.columns):
+            for i, c in column:
                 dense[i][j] = c
         return tuple(map(tuple, dense))
+
+    @cached_property
+    def row_sums(self) -> tuple[int, ...]:
+        """The sum of each row i, read once off the flat tuples."""
+        sums = [0] * self.ctx.d
+        for i, c in zip(self.col_rows, self.col_counts):
+            sums[i] += c
+        return tuple(sums)
 
     @cached_property
     def walk_lengths_to_theta(self) -> tuple[int | None, ...]:
@@ -180,18 +182,19 @@ def _coded_chunks(ctx: FieldContext) -> Iterator[tuple[int, bytes]]:
 
 
 def _tally_by_planes(ctx: FieldContext) -> dict[int, int]:
-    """The tally of the codes class(x + 1) * d + class(x), for d <= 4.
+    """The tally of the codes class(x + 1) * d + class(x), for d <= 8.
 
-    Classes below 4 take w = 2 bits, and w = 1 at d = 2.  A chunk of the
-    byte-wide class array, x = lo .. hi, is read once as an integer A: bit
-    b of class(x) is the plane (A >> b) & ones, one bit per lane, and bit
-    b of class(x + 1) the same plane one lane up.  Eight chunks in turn
-    take the eight bits of each lane, so every plane is dense.  For each
-    set T of the 2w planes, c(T) sums the popcount of their AND (c of no
-    plane is p - 2), holding one AND per plane on the way.  The
-    incidences whose set bits are exactly U then number the sum over T
-    containing U of (-1)^|T - U| c(T), by inclusion-exclusion, one step
-    per plane; U holds the w bits of class(x) below those of class(x + 1).
+    Classes below d take w = (d - 1).bit_length() bits: 1 at d = 2, 2 at
+    d = 3 and 4, 3 at d = 5..8.  A chunk of the byte-wide class array,
+    x = lo .. hi, is read once as an integer A: bit b of class(x) is the
+    plane (A >> b) & ones, one bit per lane, and bit b of class(x + 1) the
+    same plane one lane up.  Eight chunks in turn take the eight bits of
+    each lane, so every plane is dense.  For each set T of the 2w planes,
+    c(T) sums the popcount of their AND (c of no plane is p - 2), holding
+    one AND per plane on the way.  The incidences whose set bits are
+    exactly U then number the sum over T containing U of (-1)^|T - U| c(T),
+    by inclusion-exclusion, one step per plane; U holds the w bits of
+    class(x) below those of class(x + 1).
     """
     p, d = ctx.p, ctx.d
     w = (d - 1).bit_length()
@@ -234,10 +237,11 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
     """Count all cyclotomic numbers of order d in one pass over the units.
 
     Each incidence x = 1..p-2 is coded as class(x + 1) * d + class(x).
-    At d <= 4, past one _TALLY_CHUNK of incidences, the codes are tallied
-    from the bit planes of the classes (_tally_by_planes).  Otherwise they
-    are coded a chunk of lanes at a time (_coded_chunks) and tallied with
-    one bytes.count per code when there are few, else with a Counter.
+    The codes are tallied on one of two paths.  At d <= 8, past one
+    _TALLY_CHUNK of incidences, they are counted from the bit planes of the
+    classes (_tally_by_planes), none of them formed.  Every other table
+    codes them a chunk of lanes at a time (_coded_chunks) and tallies them
+    with one Counter.
     Sorted, the codes are the entries in column-major order: column j
     holds the codes j*d .. j*d + d-1, and each code's row is its value
     mod d.  No d x d matrix is built, and the tally holds at most
@@ -247,17 +251,13 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
     """
     p, d = ctx.p, ctx.d
     require_table_fits(p, d)
-    cells = d * d
-    typecode = _code_typecode(d)
-    if d <= 4 and p - 2 > _TALLY_CHUNK:
+    if d <= 8 and p - 2 > _TALLY_CHUNK:
         tally = _tally_by_planes(ctx)
     else:
+        typecode = _code_typecode(d)
         tally = Counter()
         for _, coded in _coded_chunks(ctx):
-            if cells <= _COUNTED_CODES:
-                tally.update({c: n for c in range(cells) if (n := coded.count(c))})
-            else:
-                tally.update(memoryview(coded).cast(typecode))
+            tally.update(memoryview(coded).cast(typecode))
     codes = sorted(tally)
     col_counts = tuple(map(tally.__getitem__, codes))
     del tally
@@ -277,27 +277,15 @@ def _entry_columns(table: CyclotomyTable) -> list[int]:
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
+class CheckResult:
+    """One named check's outcome; detail says what failed, if it did."""
+
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Structured pass/fail report for the classical table identities."""
-
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[IdentityCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
-def verify_identities(table: CyclotomyTable) -> IdentityReport:
+def verify_identities(table: CyclotomyTable) -> tuple[CheckResult, ...]:
     """Check row sums, the total count and the classical relations.
 
     Row k must sum to f - 1 when k is the class of -1 and to f otherwise,
@@ -306,32 +294,30 @@ def verify_identities(table: CyclotomyTable) -> IdentityReport:
     every table: (i, j) = (-i, j - i), and (i, j) = (j, i) for even f or
     (i, j) = (j + d/2, i + d/2) for odd f.  Each relation maps the table
     onto itself, so it is checked entry by entry on one dict of the
-    nonzero entries.  Every check is O(nnz).  Violations are reported,
-    never raised: these identities are theorems, so a failure means the
-    table was built incorrectly.
+    nonzero entries.  Every check is O(nnz).  One CheckResult per check
+    comes back, in the order row-sums, total-count, reflection, symmetry.
+    Violations are reported, never raised: these identities are theorems,
+    so a failure means the table was built incorrectly.
     """
     ctx = table.ctx
     d, f, theta = ctx.d, ctx.f, ctx.theta
     checks = []
 
-    sums = [0] * d
-    for i, c in zip(table.col_rows, table.col_counts):
-        sums[i] += c
     bad_rows = [
-        (k, total) for k, total in enumerate(sums)
+        (k, total) for k, total in enumerate(table.row_sums)
         if total != f - (1 if k == theta else 0)
     ]
     checks.append(
-        IdentityCheck(
+        CheckResult(
             name="row-sums",
             passed=not bad_rows,
             detail="" if not bad_rows else f"rows with wrong sum: {bad_rows}",
         )
     )
 
-    total = sum(table.col_counts)
+    total = sum(table.row_sums)
     checks.append(
-        IdentityCheck(
+        CheckResult(
             name="total-count",
             passed=total == d * f - 1,
             detail="" if total == d * f - 1 else f"total {total} != {d * f - 1}",
@@ -364,14 +350,14 @@ def verify_identities(table: CyclotomyTable) -> IdentityReport:
                 if entries.get(image) != c
             })
         checks.append(
-            IdentityCheck(
+            CheckResult(
                 name=name,
                 passed=not off,
                 detail="" if not off else f"{relation} fails at: {off}",
             )
         )
 
-    return IdentityReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)

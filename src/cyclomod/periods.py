@@ -5,7 +5,9 @@ Their power sums are already available exactly: sum_i eta_i^m = n(m-1, 0),
 with the m = 0 sum equal to d.  Newton's identities then produce the
 elementary symmetric functions, hence the monic integer polynomial
 G(T) = prod (T - eta_i), without ever touching complex numbers.  The
-floating-point periods that validate it live in the test suite.
+discriminant is the determinant of the Hankel matrix of the power sums,
+which it recovers from the coefficients.  The floating-point periods that
+validate both live in the test suite.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from .errors import SanityFailure, ScaleGuard
 from .waring import NSequence
 
 #: Cap on the degree d of the polynomial whose discriminant `period` prints:
-#: a fraction-free elimination whose integers widen with d and with log f.
-#: On a 2-vCPU host with CPython 3.11 and p near the default cap on p, it
-#: takes ~1.8 s at d = 40 and ~24 s at d = 60 (~8.7 s at d = 240 for f = 1).
+#: a fraction-free elimination of a d x d Hankel matrix whose integers widen
+#: with d and with log f.  On a 2-vCPU host with CPython 3.11 and p near the
+#: default cap on p, it takes ~0.6 s at d = 40 and 6-7 s at d = 60 (~0.4 s
+#: at d = 240 for f = 1).
 MAX_PERIOD_DEGREE = 40
 
 
@@ -40,8 +43,23 @@ class PeriodPolynomial:
 
     @cached_property
     def discriminant(self) -> int:
-        """prod_{i<j} (eta_i - eta_j)^2, an exact (possibly huge) integer."""
-        return _discriminant_from_coeffs(self.coeffs)
+        """prod_{i<j} (eta_i - eta_j)^2, an exact (possibly huge) integer.
+
+        With V the Vandermonde matrix of the roots, V * V^T is the Hankel
+        matrix [P_{i+j}] of their power sums, i, j < d, so its determinant
+        is det(V)^2, the discriminant.  P_0 .. P_{2d-2} follow from the
+        coefficients by Newton's identities: with a_i the coefficient of
+        T^(d-i), P_m = -(m * a_m [m <= d] + sum_{i=1..min(m-1, d)} a_i P_{m-i}).
+        """
+        d = self.degree
+        a = self.reversed_coeffs()
+        ps = [d]
+        for m in range(1, 2 * d - 1):
+            acc = m * a[m] if m <= d else 0
+            for i in range(1, min(m - 1, d) + 1):
+                acc += a[i] * ps[m - i]
+            ps.append(-acc)
+        return _bareiss_determinant([ps[i : i + d] for i in range(d)])
 
     def __call__(self, x):
         """Evaluate at x by Horner; works for ints, Fractions, complex."""
@@ -111,19 +129,6 @@ def period_polynomial(seq: NSequence) -> PeriodPolynomial:
     return PeriodPolynomial(coeffs=coeffs)
 
 
-def _sylvester_matrix(fd: list[int], gd: list[int]) -> list[list[int]]:
-    """Sylvester matrix of two polynomials given by descending coefficients."""
-    n = len(fd) - 1
-    m = len(gd) - 1
-    size = n + m
-    rows = []
-    for shift in range(m):
-        rows.append([0] * shift + fd + [0] * (size - shift - n - 1))
-    for shift in range(n):
-        rows.append([0] * shift + gd + [0] * (size - shift - m - 1))
-    return rows
-
-
 def _bareiss_determinant(matrix: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free elimination."""
     m = [row[:] for row in matrix]
@@ -149,17 +154,3 @@ def _bareiss_determinant(matrix: list[list[int]]) -> int:
             row_r[c] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _resultant(f_asc: tuple[int, ...], g_asc: tuple[int, ...]) -> int:
-    fd = list(reversed(f_asc))
-    gd = list(reversed(g_asc))
-    return _bareiss_determinant(_sylvester_matrix(fd, gd))
-
-
-def _discriminant_from_coeffs(coeffs: tuple[int, ...]) -> int:
-    d = len(coeffs) - 1
-    deriv = tuple(k * coeffs[k] for k in range(1, d + 1))
-    res = _resultant(coeffs, deriv)
-    # leading coefficient is 1, so no division beyond the sign factor
-    return (-1) ** (d * (d - 1) // 2) * res

@@ -46,6 +46,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, TextIO
 
 from . import closedform, cyclotomy, oracle, waring
+from .cyclotomy import CheckResult
 from .errors import CyclomodError
 from .ffield import (
     FieldContext, _max_p_limit, make_context, prime_factors, primes_in_range,
@@ -85,13 +86,6 @@ class SweepRecord:
     methods_agree: bool
     closed_form_match: bool | None
     elapsed: int
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 def admissible_orders(p: int, d_filter: int | None = None) -> list[int]:
@@ -174,12 +168,12 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     ctx, table = seq.ctx, seq.table
     p, d, f, theta = ctx.p, ctx.d, ctx.f, ctx.theta
 
-    report = cyclotomy.verify_identities(table)
+    failed = [c for c in cyclotomy.verify_identities(table) if not c.passed]
     checks.append(
         CheckResult(
             name="table-identities",
-            passed=report.passed,
-            detail="; ".join(c.name + ": " + c.detail for c in report.failures()),
+            passed=not failed,
+            detail="; ".join(c.name + ": " + c.detail for c in failed),
         )
     )
 
@@ -208,10 +202,10 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
 
     # m(2, v) = p * (v, theta), and m(3, v) = p * sum_i (v, i) * (i, theta)
     # plus f * m(1, v) when theta = 0, read off the columns in O(nnz)
-    into_theta = dict(table.column(theta))
+    into_theta = dict(table.columns[theta])
     walk2 = [0] * d
     for i, c in into_theta.items():
-        for v, c_vi in table.column(i):
+        for v, c_vi in table.columns[i]:
             walk2[v] += c_vi * c
     low_bad = []
     for v in range(d):

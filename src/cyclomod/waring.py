@@ -53,8 +53,8 @@ class NSequence:
     as m(k, v) - f^k.  Each nonzero m(k, l) is pushed along column l of the
     table, f * m(k-1, 0) is added at theta, and exact zeros are dropped.
     first_k[v] is the least k with m(k, v) != 0 so far, or None.  The shift
-    needs every table row to sum to f - [v == theta], checked once from the
-    flat column tuples (SanityFailure).  Each new row must also keep the
+    needs every table row to sum to f - [v == theta], checked once on the
+    table's row_sums (SanityFailure).  Each new row must also keep the
     count of all f^k ordered k-tuples: f/p * sum_v m(k, v) of them sum to a
     unit and f/p * m(k-1, 0) to 0, so
 
@@ -75,10 +75,7 @@ class NSequence:
         p, d, f, theta = ctx.p, ctx.d, ctx.f, ctx.theta
         self.table = table
         self._p, self._d, self._f, self._theta = p, d, f, theta
-        sums = [0] * d
-        for v, c in zip(table.col_rows, table.col_counts):
-            sums[v] += c
-        for v, total in enumerate(sums):
+        for v, total in enumerate(table.row_sums):
             if total != f - (v == theta):
                 raise SanityFailure(f"row {v} of the table sums to {total}, "
                                     f"not {f - (v == theta)} (p={p}, d={d})")

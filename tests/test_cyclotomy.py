@@ -62,7 +62,7 @@ def test_bit_plane_tally_matches_the_oracles(monkeypatch):
     @st.composite
     def cases(draw):
         p = draw(st.sampled_from(primes_in_range(5, 2000)))
-        d = draw(st.sampled_from([d for d in (2, 3, 4) if (p - 1) % d == 0]))
+        d = draw(st.sampled_from([d for d in range(2, 9) if (p - 1) % d == 0]))
         return p, d, draw(st.integers(min_value=1, max_value=p - 3))
 
     @hypothesis.settings(max_examples=25, deadline=None)
@@ -75,6 +75,8 @@ def test_bit_plane_tally_matches_the_oracles(monkeypatch):
     @hypothesis.example((13, 4, 1))  # eleven chunks: a second run of eight
     @hypothesis.example((1009, 4, 63))  # sixteen chunks, the last short
     @hypothesis.example((1993, 3, 1990))  # two chunks, the last of one incidence
+    @hypothesis.example((29, 7, 5))  # three bits per class, a short last chunk
+    @hypothesis.example((41, 8, 4))  # ten chunks of classes 0..7
     def check(case):
         p, d, chunk = case
         monkeypatch.setattr(cyclotomy, "_TALLY_CHUNK", chunk)
@@ -88,10 +90,15 @@ def test_bit_plane_tally_matches_the_oracles(monkeypatch):
                 definitional_cyclotomic_counts(ctx)), case
 
     check()
-    # the default chunk: one chunk keeps the per-code count, two take planes
+    # the default chunk: at d <= 8 two chunks take the planes; one chunk,
+    # or any d > 8, takes the Counter
     monkeypatch.undo()
     monkeypatch.setattr(cyclotomy, "_tally_by_planes", counted)
-    for p, d, planes in ((16411, 3, [16411]), (16417, 4, [16417]), (16381, 4, [])):
+    for p, d, planes in (
+        (16411, 3, [16411]), (16417, 4, [16417]), (16411, 5, [16411]),
+        (16451, 7, [16451]), (16417, 8, [16417]),
+        (16381, 4, []), (16381, 5, []), (16417, 9, []),
+    ):
         tallied.clear()
         ctx = make_context(p, d)
         assert compute_table(ctx).row_supports == counter_row_supports(ctx), p
@@ -137,22 +144,21 @@ def test_row_supports_match_counts():
 
 def test_verify_identities_pass():
     report = verify_identities(compute_table(make_context(7, 3)))
-    assert report.passed
-    assert report.failures() == []
+    assert [c for c in report if not c.passed] == []
 
 
 def test_verify_identities_checks_the_relations_at_odd_f():
     # f = 7: (i, j) = (j + d/2, i + d/2) stands in for symmetry
     table = compute_table(make_context(29, 4))
     report = verify_identities(table)
-    assert report.passed
-    assert [c.name for c in report.checks] == [
+    assert all(c.passed for c in report)
+    assert [c.name for c in report] == [
         "row-sums", "total-count", "reflection", "symmetry"]
     assert table.counts == ((2, 3, 0, 2), (1, 1, 2, 3), (2, 1, 2, 1), (1, 2, 3, 1))
     # a rectangle move keeps the row sums; (0,0) = 3 is not (2,2) = 2
     doctored = table_from_counts(
         table.ctx, ((3, 2, 0, 2), (0, 2, 2, 3), (2, 1, 2, 1), (1, 2, 3, 1)))
-    by_name = {c.name: c for c in verify_identities(doctored).checks}
+    by_name = {c.name: c for c in verify_identities(doctored)}
     assert by_name["row-sums"].passed
     assert not by_name["symmetry"].passed
     assert by_name["symmetry"].detail.startswith(
@@ -160,7 +166,8 @@ def test_verify_identities_checks_the_relations_at_odd_f():
 
 
 def test_verify_identities_p13_d4():
-    assert verify_identities(compute_table(make_context(13, 4))).passed
+    report = verify_identities(compute_table(make_context(13, 4)))
+    assert all(c.passed for c in report)
 
 
 def test_verify_identities_reports_violations():
@@ -170,8 +177,7 @@ def test_verify_identities_reports_violations():
         ((1, 0, 1), (0, 1, 1), (1, 1, 0)),  # (0,0) bumped by one
     )
     report = verify_identities(broken)
-    assert not report.passed
-    names = {c.name for c in report.failures()}
+    names = {c.name for c in report if not c.passed}
     assert "row-sums" in names and "total-count" in names
 
 

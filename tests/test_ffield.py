@@ -298,7 +298,7 @@ def test_half_walk_and_lane_tally_match_the_oracles():
             for i, row in enumerate(rows):
                 for j, c in row:
                     columns[j].append((i, c))
-            assert [list(table.column(j)) for j in range(d)] == columns, d
+            assert [list(column) for column in table.columns] == columns, d
 
     check()
 

@@ -136,6 +136,20 @@ def test_discriminant_positive_p7_d3():
     assert abs(disc - product) < 1e-8
 
 
+def test_discriminant_matches_float_product_at_degree_six():
+    # f = 5 is odd, so the periods are complex and the discriminant negative;
+    # the float product reads neither the power sums nor the coefficients
+    ctx = make_context(31, 6)
+    disc = period_polynomial(_seq(31, 6)).discriminant
+    etas = numeric_periods(ctx)
+    product = complex(1)
+    for i in range(6):
+        for j in range(i + 1, 6):
+            product *= (etas[i] - etas[j]) ** 2
+    assert disc == -30019840638976
+    assert abs(product - disc) < 1e-9 * abs(disc)
+
+
 def test_discriminant_nonzero_and_matches_power_sum_gram():
     # Gram-determinant form: det[P_{i+j}] equals the discriminant
     for p, d in [(7, 3), (13, 4), (13, 3), (29, 4), (11, 5), (31, 6)]:

@@ -882,3 +882,39 @@ def test_cli_verify_reports_failures_with_exit_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL (p=7, d=3) synthetic: boom" in out
     assert "0/1 checks passed" in out
+
+
+def test_cli_verify_keys_refused_orders_and_goes_on(capsys):
+    # the three largest orders of 20011 pass the table's cap; the others
+    # are still checked, and the run exits 2 for the refusals
+    assert main(["verify", "-p", "20011"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "113/113 checks passed"
+    refused = captured.err.splitlines()
+    assert len(refused) == 3
+    for line, d in zip(refused, (6670, 10005, 20010)):
+        assert line.startswith(
+            f"verify: (p=20011, d={d}) failed: ScaleGuard: p=20011, d={d}: "), line
+
+
+def test_cli_verify_keys_a_disagreement_and_exits_1(monkeypatch, capsys):
+    import cyclomod.waring as waring_module
+    from cyclomod.errors import InternalDisagreement
+
+    real = waring_module.solve
+
+    def solve_13(ctx):
+        if ctx.d == 4:
+            raise InternalDisagreement(1, {"recurrence": 2, "reachability": 3})
+        return real(ctx)
+
+    monkeypatch.setattr(waring_module, "solve", solve_13)
+    assert main(["verify", "-p", "13"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[-1] == "17/17 checks passed"
+    assert {line.split(")")[0] + ")" for line in lines[:-1]} == {
+        f"PASS (p=13, d={d})" for d in (2, 3, 6, 12)}
+    assert captured.err == (
+        "verify: (p=13, d=4) failed: InternalDisagreement: solvers disagree "
+        "for class 1: recurrence=2, reachability=3\n")
