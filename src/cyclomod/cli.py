@@ -230,6 +230,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.resume and not args.out:
+        raise InputError("--resume skips the keys already in --out, so it needs --out")
     pmin, pmax = _prime_bounds(args)
     jobs = _worker_count(args)
     skip: set[tuple[int, int]] = set()
@@ -286,11 +288,7 @@ def cmd_verify(args) -> int:
         fields = sweep.prime_fields(p, orders, max_p)
         for d in orders:
             try:
-                if d in fields:
-                    ctx = fields[d].for_order(d)
-                else:
-                    ctx = make_context(p, d, max_p=max_p,
-                                       guard=cyclotomy.require_table_fits)
+                ctx = sweep.order_context(p, d, fields.get(d), max_p)
                 checks = sweep.full_checks(waring.solve(ctx))
             except Exception as exc:  # whatever the type, the failure stays keyed
                 print(f"verify: (p={p}, d={d}) failed: {type(exc).__name__}: {exc}",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
 
 from .cyclotomy import CyclotomyTable, walk_lengths
 from .errors import (
@@ -243,10 +242,10 @@ def _witness(p: int, rep: QuadFormRep) -> DiophantineWitness | None:
     if formula is None:
         raise SanityFailure(f"formula table not integral for p={p}")
     theta = 0 if parity == "even" else 2
-    # the rows of each column's nonzero entries, as walk_lengths reads them
-    columns = [[i for i in range(4) if formula[i][j]] for j in range(4)]
-    starts = [0, *accumulate(map(len, columns))]
-    dist = walk_lengths(starts, list(chain.from_iterable(columns)), theta)
+    # each column's (i, count) pairs, as walk_lengths reads them
+    columns = [[(i, formula[i][j]) for i in range(4) if formula[i][j]]
+               for j in range(4)]
+    dist = walk_lengths(columns, theta)
     # class alpha needs dist + 1 summands: four means no walk of length <= 2
     return DiophantineWitness(
         parity=parity,

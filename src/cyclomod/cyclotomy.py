@@ -5,24 +5,23 @@ Fix a context (p, omega, d).  The cyclotomic number (i, j) counts pairs
 Equivalently: elements x of power class i such that 1 + x lands in power
 class j.  The whole table holds only p-2 incidences (x = 1..p-2, skipping
 x = p-1, where 1 + x = 0), so it is counted in one O(p) pass straight into
-a column-major sparse form: three flat tuples holding, column by column,
-the row and the count of every nonzero entry, with the offset at which
-each column starts.  The pass works a chunk of the power-class array at a
-time and tallies it one of two ways.  At d <= 8, past one chunk, no code
-is formed: the class bits of x and x + 1 are read as bit planes, and each
-cell follows from popcounts of their ANDs.  Every other table codes each
-chunk's incidences at once in integer lanes and tallies them with one
-Counter, so no Python-level step runs per residue.  The recurrence pushes
-values along the columns, the walks read them as the reversed edges, and
-the classical checks read the flat tuples once and return one CheckResult
-each; the row view and the dense d x d matrix are derived only when a
-printer, the order-3 and order-4 closed forms or a test asks for them.  The full
-checks also build upper-bound witnesses: a breadth-first tree over the
-rows from class 0, one incidence per tree edge found in a second pass over
-the same codes, and from them an explicit sum of powers in every class,
-which check_witnesses proves from p, d and omega alone.  The definitional
-double loop and the per-residue tally are kept in the test suite as
-independent oracles.
+its one stored shape: the columns, each the (i, count) pairs of its
+nonzero entries by ascending i.  The pass works a chunk of the power-class
+array at a time and tallies it one of two ways.  At d <= 8, past one
+chunk, no code is formed: the class bits of x and x + 1 are read as bit
+planes, and each cell follows from popcounts of their ANDs.  Every other
+table codes each chunk's incidences at once in integer lanes and tallies
+them with one Counter, so no Python-level step runs per residue.  The
+recurrence pushes values along the columns, the walks read them as the
+reversed edges, and the classical checks read them once and return one
+CheckResult each; the row view and the dense d x d matrix are derived only
+when a printer, the order-3 and order-4 closed forms or a test asks for
+them.  The full checks also build upper-bound witnesses: a breadth-first
+tree over the rows from class 0, one incidence per tree edge found in a
+second pass over the same codes, and from them an explicit sum of powers
+in every class, which check_witnesses proves from p, d and omega alone.
+The definitional double loop and the per-residue tally are kept in the
+test suite as independent oracles.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from operator import ne, sub
+from itertools import repeat
+from operator import ne
 from typing import Iterator, Sequence
 
 from .errors import ScaleGuard
@@ -57,30 +56,15 @@ _TALLY_CHUNK = 1 << 14
 class CyclotomyTable:
     """The cyclotomic numbers of order d for one context, stored sparsely.
 
-    The nonzero entries are kept column by column, in three flat tuples:
-    column j's entries are those at positions col_starts[j] ..
-    col_starts[j+1] - 1, each (i, j) with its row i in col_rows and its
-    count in col_counts, by ascending i.  The whole table holds p-2
+    columns[j] holds column j's nonzero entries (i, j) as (i, count) pairs,
+    by ascending i; an empty column is ().  The whole table holds p-2
     incidences, so the recurrence, which pushes each value along a column,
     and the walks, which read the columns as the reversed edges, cost
     O(min(d*d, p)) per step.
     """
 
     ctx: FieldContext
-    col_starts: tuple[int, ...] = field(repr=False)
-    col_rows: tuple[int, ...] = field(repr=False)
-    col_counts: tuple[int, ...] = field(repr=False)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Every column's (i, count) pairs; built on first use.
-
-        The recurrence pushes each value along a whole column, so the pairs
-        are zipped once per table rather than once per push.
-        """
-        pairs = tuple(zip(self.col_rows, self.col_counts))
-        starts = self.col_starts
-        return tuple(map(pairs.__getitem__, map(slice, starts[:-1], starts[1:])))
+    columns: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @cached_property
     def row_supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -103,35 +87,36 @@ class CyclotomyTable:
 
     @cached_property
     def row_sums(self) -> tuple[int, ...]:
-        """The sum of each row i, read once off the flat tuples."""
+        """The sum of each row i, read once off the columns."""
         sums = [0] * self.ctx.d
-        for i, c in zip(self.col_rows, self.col_counts):
-            sums[i] += c
+        for column in self.columns:
+            for i, c in column:
+                sums[i] += c
         return tuple(sums)
 
     @cached_property
     def walk_lengths_to_theta(self) -> tuple[int | None, ...]:
         """Shortest walk length from each class to the class of -1."""
-        return walk_lengths(self.col_starts, self.col_rows, self.ctx.theta)
+        return walk_lengths(self.columns, self.ctx.theta)
 
 
 def walk_lengths(
-    col_starts: Sequence[int], col_rows: Sequence[int], target: int
+    columns: Sequence[Sequence[tuple[int, int]]], target: int
 ) -> tuple[int | None, ...]:
     """Shortest walk length from each class to target.
 
     Walks live in the digraph with an edge i -> j for every nonzero entry
-    (i, j), given in CyclotomyTable's column-major form: the rows listed
-    in column j are the sources of the edges into j.  One breadth-first
-    search over those reversed edges serves every source class at once;
-    None marks an unreachable class.
+    (i, j), given as CyclotomyTable.columns: the rows i of column j's
+    (i, count) pairs are the sources of the edges into j.  One
+    breadth-first search over those reversed edges serves every source
+    class at once; None marks an unreachable class.
     """
-    dist: list[int | None] = [None] * (len(col_starts) - 1)
+    dist: list[int | None] = [None] * len(columns)
     dist[target] = 0
     frontier = deque([target])
     while frontier:
         j = frontier.popleft()
-        for i in col_rows[col_starts[j] : col_starts[j + 1]]:
+        for i, _ in columns[j]:
             if dist[i] is None:
                 dist[i] = dist[j] + 1
                 frontier.append(i)
@@ -244,8 +229,9 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
     with one Counter.
     Sorted, the codes are the entries in column-major order: column j
     holds the codes j*d .. j*d + d-1, and each code's row is its value
-    mod d.  No d x d matrix is built, and the tally holds at most
-    min(d*d, p-2) codes.
+    mod d, so each column's (i, count) pairs are one run of them.  No
+    d x d matrix is built, and the tally holds at most min(d*d, p-2)
+    codes.
 
     Orders refused by require_table_fits are refused before counting.
     """
@@ -259,21 +245,16 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
         for _, coded in _coded_chunks(ctx):
             tally.update(memoryview(coded).cast(typecode))
     codes = sorted(tally)
-    col_counts = tuple(map(tally.__getitem__, codes))
+    counts = list(map(tally.__getitem__, codes))
     del tally
-    col_starts = tuple(map(bisect_left, repeat(codes), range(0, d * d + 1, d)))
+    starts = list(map(bisect_left, repeat(codes), range(0, d * d + 1, d)))
     row = list(range(d))  # one shared int object per class
-    col_rows = tuple(map(row.__getitem__, map(d.__rmod__, codes)))
-    return CyclotomyTable(
-        ctx=ctx, col_starts=col_starts, col_rows=col_rows, col_counts=col_counts
-    )
-
-
-def _entry_columns(table: CyclotomyTable) -> list[int]:
-    """The column of every nonzero entry, in the order of table.col_rows."""
-    starts = table.col_starts
-    return list(chain.from_iterable(
-        map(repeat, range(table.ctx.d), map(sub, starts[1:], starts[:-1]))))
+    rows = list(map(row.__getitem__, map(d.__rmod__, codes)))
+    del codes  # the pairs are built only once the tally and codes are freed
+    pairs = tuple(zip(rows, counts))
+    del rows, counts
+    columns = tuple(map(pairs.__getitem__, map(slice, starts[:-1], starts[1:])))
+    return CyclotomyTable(ctx=ctx, columns=columns)
 
 
 @dataclass(frozen=True)
@@ -324,30 +305,29 @@ def verify_identities(table: CyclotomyTable) -> tuple[CheckResult, ...]:
         )
     )
 
-    # entry (i, j) is coded j*d + i, its position in the column-major tuples
-    rows, counts = table.col_rows, table.col_counts
-    cols = _entry_columns(table)
-    entries = dict(zip([j * d + i for i, j in zip(rows, cols)], counts))
+    # entry (i, j) is keyed by its code j*d + i; each relation maps codes
+    entries = {j * d + i: c
+               for j, column in enumerate(table.columns) for i, c in column}
     if f % 2 == 0:
-        swap = "(i, j) = (j, i)", lambda: (i * d + j for i, j in zip(rows, cols))
+        swap = "(i, j) = (j, i)", lambda code: code % d * d + code // d
     else:  # d*f = p - 1 is even, so d is
         half = d // 2
-        swap = "(i, j) = (j + d/2, i + d/2)", lambda: (
-            (i + half) % d * d + (j + half) % d for i, j in zip(rows, cols))
+        swap = "(i, j) = (j + d/2, i + d/2)", lambda code: (
+            (code + half) % d * d + (code // d + half) % d)
     relations = (
         ("reflection", "(i, j) = (-i, j - i)",
-         lambda: ((j - i) % d * d + -i % d for i, j in zip(rows, cols))),
+         lambda code: (code // d - code) % d * d + -code % d),
         ("symmetry", *swap),
     )
-    for name, relation, coded_images in relations:
+    for name, relation, image in relations:
         # each relation maps the cells onto themselves, so an entry whose
         # image holds another count (or none) shows every violation
         off = []
-        if any(map(ne, map(entries.get, coded_images()), counts)):
+        if any(map(ne, map(entries.get, map(image, entries)), entries.values())):
             off = sorted({
-                min((i, j), (image % d, image // d))
-                for i, j, c, image in zip(rows, cols, counts, coded_images())
-                if entries.get(image) != c
+                min((code % d, code // d), (to % d, to // d))
+                for code, to in zip(entries, map(image, entries))
+                if entries.get(to) != entries[code]
             })
         checks.append(
             CheckResult(
@@ -394,10 +374,10 @@ def upper_bound_witnesses(
     """
     ctx = table.ctx
     p, d = ctx.p, ctx.d
-    out: list[list[int]] = [[] for _ in range(d)]
-    # out[c].append(j) for each entry (c, j), column by column
-    deque(map(list.append, map(out.__getitem__, table.col_rows),
-              _entry_columns(table)), 0)
+    out: list[list[int]] = [[] for _ in range(d)]  # out[c]: each j with (c, j) != 0
+    for j, column in enumerate(table.columns):
+        for c, _ in column:
+            out[c].append(j)
     parent: list[int | None] = [None] * d
     order = [0]
     seen = [False] * d

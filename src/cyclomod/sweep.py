@@ -149,6 +149,19 @@ def prime_fields(
     return dict.fromkeys(passed, field)
 
 
+def order_context(
+    p: int, d: int, field: FieldContext | None = None, max_p: int | None = None
+) -> FieldContext:
+    """The order-d context of p, from field when prime_fields gave d one.
+
+    field is a field of p that d divides, already priced for d; without
+    one, the context is built here, priced as prime_fields prices it.
+    """
+    if field is None:
+        return make_context(p, d, max_p=max_p, guard=cyclotomy.require_table_fits)
+    return field.for_order(d)
+
+
 def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     """The verification battery behind verify_level=full and the verify command.
 
@@ -255,15 +268,10 @@ def solve_single(
 ) -> SweepRecord:
     """Solve one (p, d) pair and run the checks for the requested level.
 
-    field, when given, is a field of p whose order d divides, already
-    priced for d (prime_fields): the order-d context is derived from it.
-    Otherwise the context is built here, priced as prime_fields would.
+    field, when given, is the field prime_fields gave d (order_context).
     """
     start = time.perf_counter()
-    if field is None:
-        ctx = make_context(p, d, max_p=max_p, guard=cyclotomy.require_table_fits)
-    else:
-        ctx = field.for_order(d)
+    ctx = order_context(p, d, field, max_p)
     solution = waring.solve(ctx)
     closed_match: bool | None = None
     if verify_level == "full":

@@ -117,13 +117,13 @@ class NSequence:
         support, so first_k is complete without computing a row past it.
         """
         first, rows, fks = self.first_k, self._m, self._fk
+        columns = self.table.columns
         p, f, theta = self._p, self._f, self._theta
         column_entries = min(f, self._d)
         while len(rows) <= k_max and (self._unset or not until_covered):
             k = len(rows)
             before, prev = rows[-2], rows[-1]
             self._charge(k, len(prev) * column_entries)
-            columns = self.table.columns  # built on the first row grown
             acc: dict[int, int] = {}
             get = acc.get
             for l, value in prev.items():

@@ -167,16 +167,9 @@ def table_from_counts(ctx: FieldContext, counts) -> CyclotomyTable:
     The nonzero entries are laid out column by column, as compute_table
     lays them out, so a doctored table reaches NSequence and the walks.
     """
-    entries = sorted((j, i, c) for i, row in enumerate(counts)
-                     for j, c in enumerate(row) if c)
-    starts = tuple(sum(1 for j, _, _ in entries if j < col)
-                   for col in range(len(counts) + 1))
-    return CyclotomyTable(
-        ctx=ctx,
-        col_starts=starts,
-        col_rows=tuple(i for _, i, _ in entries),
-        col_counts=tuple(c for _, _, c in entries),
-    )
+    d = len(counts)
+    return CyclotomyTable(ctx=ctx, columns=tuple(
+        tuple((i, counts[i][j]) for i in range(d) if counts[i][j]) for j in range(d)))
 
 
 def dense_rows(table: CyclotomyTable, k_max: int) -> list[list[int]]:

@@ -37,12 +37,32 @@ def test_table_p13_d3_entry_01():
     assert table.counts == ((0, 1, 2), (1, 2, 1), (2, 1, 1))
 
 
-def test_matches_definitional_double_loop_everywhere():
+def test_matches_definitional_double_loop_everywhere(monkeypatch):
+    # whole tables: each column's (i, count) pairs, with () for an empty one
+    tally_by_planes = cyclotomy._tally_by_planes
+    tallied = []
+
+    def counted(ctx):
+        tallied.append(ctx.p)
+        return tally_by_planes(ctx)
+
+    monkeypatch.setattr(cyclotomy, "_tally_by_planes", counted)
     for p in primes_in_range(3, 100):
         for d in admissible_orders(p):
             ctx = make_context(p, d)
-            fast = [list(row) for row in compute_table(ctx).counts]
-            assert fast == definitional_cyclotomic_counts(ctx), (p, d)
+            assert compute_table(ctx) == table_from_counts(
+                ctx, definitional_cyclotomic_counts(ctx)), (p, d)
+    assert tallied == []  # every table up to here fits one chunk: the Counter
+    for p, d in ((7, 6), (13, 12)):
+        assert () in compute_table(make_context(p, d)).columns, (p, d)
+    # past one chunk, at d <= 8, the tally takes the bit planes
+    monkeypatch.setattr(cyclotomy, "_TALLY_CHUNK", 16)
+    for p, d in ((97, 4), (113, 8), (101, 10)):
+        ctx = make_context(p, d)
+        tallied.clear()
+        assert compute_table(ctx) == table_from_counts(
+            ctx, definitional_cyclotomic_counts(ctx)), (p, d)
+        assert tallied == ([p] if d <= 8 else []), (p, d)
 
 
 def test_bit_plane_tally_matches_the_oracles(monkeypatch):

@@ -845,6 +845,31 @@ def test_cli_sweep_to_file_with_resume(tmp_path, capsys):
     assert out.read_text() == first
 
 
+def test_cli_sweep_resume_without_out_is_refused(capsys):
+    assert main(["sweep", "-p", "7", "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--resume" in captured.err and "--out" in captured.err
+
+
+def test_cli_sweep_resume_completes_a_partial_file(tmp_path, capsys):
+    out = tmp_path / "sweep.jsonl"
+    assert main(["sweep", "--pmin", "3", "--pmax", "20", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    out.write_text("\n".join(lines[:5]) + "\n")
+    assert main(
+        ["sweep", "--pmin", "3", "--pmax", "20", "--out", str(out), "--resume"]
+    ) == 0
+    assert capsys.readouterr().out == ""
+    resumed = out.read_text().splitlines()
+    assert resumed[:5] == lines[:5]
+    strip = lambda ls: [
+        {k: v for k, v in json.loads(l).items() if k != "elapsed"} for l in ls
+    ]
+    assert strip(resumed) == strip(lines)
+
+
 def test_cli_sweep_csv_header(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(
