@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .cyclotomy import CyclotomyTable, walk_lengths
+from .cyclotomy import CyclotomyTable, walks
 from .errors import (
     FormulaMismatch,
     NoRepresentation,
@@ -242,10 +242,10 @@ def _witness(p: int, rep: QuadFormRep) -> DiophantineWitness | None:
     if formula is None:
         raise SanityFailure(f"formula table not integral for p={p}")
     theta = 0 if parity == "even" else 2
-    # each column's (i, count) pairs, as walk_lengths reads them
+    # each column's (i, count) pairs, as walks reads them
     columns = [[(i, formula[i][j]) for i in range(4) if formula[i][j]]
                for j in range(4)]
-    dist = walk_lengths(columns, theta)
+    dist, _ = walks(columns, theta)
     # class alpha needs dist + 1 summands: four means no walk of length <= 2
     return DiophantineWitness(
         parity=parity,

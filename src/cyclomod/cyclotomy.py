@@ -16,10 +16,11 @@ recurrence pushes values along the columns, the walks read them as the
 reversed edges, and the classical checks read them once and return one
 CheckResult each; the row view and the dense d x d matrix are derived only
 when a printer, the order-3 and order-4 closed forms or a test asks for
-them.  The full checks also build upper-bound witnesses: a breadth-first
-tree over the rows from class 0, one incidence per tree edge found in a
-second pass over the same codes, and from them an explicit sum of powers
-in every class, which check_witnesses proves from p, d and omega alone.
+them.  One breadth-first search toward the class of -1 leaves a tree of
+shortest walks, cached on the table: solve reads its lengths, and the full
+checks build upper-bound witnesses along it (one incidence per tree edge,
+found in a second pass over the same codes), explicit sums of powers in
+every class that check_witnesses proves from p, d and omega alone.
 The definitional double loop and the per-residue tally are kept in the
 test suite as independent oracles.
 """
@@ -95,23 +96,25 @@ class CyclotomyTable:
         return tuple(sums)
 
     @cached_property
-    def walk_lengths_to_theta(self) -> tuple[int | None, ...]:
-        """Shortest walk length from each class to the class of -1."""
-        return walk_lengths(self.columns, self.ctx.theta)
+    def walks_to_theta(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+        """walks(columns, theta): the walks from each class to the class of -1."""
+        return walks(self.columns, self.ctx.theta)
 
 
-def walk_lengths(
+def walks(
     columns: Sequence[Sequence[tuple[int, int]]], target: int
-) -> tuple[int | None, ...]:
-    """Shortest walk length from each class to target.
+) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
+    """Shortest walks to target: each class's length and first step.
 
     Walks live in the digraph with an edge i -> j for every nonzero entry
     (i, j), given as CyclotomyTable.columns: the rows i of column j's
     (i, count) pairs are the sources of the edges into j.  One
     breadth-first search over those reversed edges serves every source
-    class at once; None marks an unreachable class.
+    class at once.  Returns (lengths, steps): class i steps first to
+    steps[i], one shorter; None marks an unreachable class and target's step.
     """
     dist: list[int | None] = [None] * len(columns)
+    step: list[int | None] = [None] * len(columns)
     dist[target] = 0
     frontier = deque([target])
     while frontier:
@@ -119,8 +122,9 @@ def walk_lengths(
         for i, _ in columns[j]:
             if dist[i] is None:
                 dist[i] = dist[j] + 1
+                step[i] = j
                 frontier.append(i)
-    return tuple(dist)
+    return tuple(dist), tuple(step)
 
 
 def require_table_fits(p: int, d: int) -> None:
@@ -359,39 +363,30 @@ class Witness:
 def upper_bound_witnesses(
     table: CyclotomyTable,
 ) -> tuple[list[Witness], list[tuple[int, int]]]:
-    """Witnesses along a breadth-first tree from class 0, and its bare edges.
+    """Witnesses along solve's walks to the class of -1, and their bare edges.
 
-    The search runs forward over the rows: an entry (c, j) != 0 is an edge
-    c -> j.  For each tree edge, one incidence x with class(x) = c and
-    class(x + 1) = j is found, all of them in one pass over the codes of
-    compute_table (_coded_chunks) that stops once every edge has its x.
-    If b is a sum of k powers in class c, then y = b / x is a d-th power
-    and b + y = y * (1 + x) lies in class j.  So from b = 1 each class j
-    reached gets a witness of length depth(j) + 1, built with one modular
-    inverse per class.  A bare tree edge, one with no incidence (a table
-    entry that no x supports), is listed, and the classes below it get no
+    Class alpha sits at v = alpha + theta, as in solve, and steps first to
+    u = steps[v] of table.walks_to_theta.  One incidence x with class(x) = v
+    and class(x + 1) = u is found per tree edge, all in one pass over the
+    codes of compute_table (_coded_chunks) that stops once every edge has
+    its x.  If b, the witness of class u - theta, is a sum of k powers, then
+    y = -b / (x + 1) is a d-th power and b + y = b * x / (x + 1) lies in
+    class v - theta.  So from b = 1 in class 0 each class reached gets a
+    witness of length one more than its walk, parents first, with one
+    modular inverse each.  A bare tree edge v -> u, a table entry that no x
+    supports, is listed, and the classes whose walks cross it get no
     witness.  The witnesses prove upper bounds only (check_witnesses).
     """
     ctx = table.ctx
-    p, d = ctx.p, ctx.d
-    out: list[list[int]] = [[] for _ in range(d)]  # out[c]: each j with (c, j) != 0
-    for j, column in enumerate(table.columns):
-        for c, _ in column:
-            out[c].append(j)
-    parent: list[int | None] = [None] * d
-    order = [0]
-    seen = [False] * d
-    seen[0] = True
-    for c in order:  # grows as the search runs
-        for j in out[c]:
-            if not seen[j]:
-                seen[j] = True
-                parent[j] = c
-                order.append(j)
+    p, d, theta = ctx.p, ctx.d, ctx.theta
+    lengths, steps = table.walks_to_theta
+    # every v reached, by walk length: parents first
+    order = sorted((v for v in range(d) if lengths[v] is not None),
+                   key=lengths.__getitem__)
 
-    wanted = {j * d + parent[j]: j for j in order[1:]}  # code of edge parent -> j
+    wanted = {steps[v] * d + v: v for v in order[1:]}  # code of edge v -> u
     typecode = _code_typecode(d)
-    incidence: dict[int, int] = {}  # class j -> x on its tree edge
+    incidence: dict[int, int] = {}  # class v -> x on its tree edge
     for lo, coded in _coded_chunks(ctx):
         if not wanted:
             break
@@ -402,21 +397,22 @@ def upper_bound_witnesses(
             incidence[wanted.pop(code)] = where[code]
 
     root = Witness(j=0, parent=None, y=1, b=1, length=1)
-    witnesses, by_class = [root], {0: root}
+    witnesses, by_class = [root], {theta: root}
     missing = []
-    for j in order[1:]:
-        c = parent[j]
-        top = by_class.get(c)
+    for v in order[1:]:
+        u = steps[v]
+        top = by_class.get(u)
         if top is None:  # below an edge with no incidence
             continue
-        x = incidence.get(j)
+        x = incidence.get(v)
         if x is None:
-            missing.append((c, j))
+            missing.append((v, u))
             continue
-        y = top.b * pow(x, -1, p) % p
-        witness = Witness(j=j, parent=c, y=y, b=(top.b + y) % p, length=top.length + 1)
+        y = -top.b * pow(x + 1, -1, p) % p
+        witness = Witness(j=(v - theta) % d, parent=top.j, y=y,
+                          b=(top.b + y) % p, length=top.length + 1)
         witnesses.append(witness)
-        by_class[j] = witness
+        by_class[v] = witness
     return witnesses, missing
 
 

@@ -262,18 +262,12 @@ def make_context(
 
 def _context(p: int, omega: int, d: int, classes: bytearray | array) -> FieldContext:
     """The context of order d over a proven class array, with f and theta."""
-    f = (p - 1) // d
-    theta = _theta(p, d)
-    expected_theta = 0 if f % 2 == 0 else d // 2
-    if theta != expected_theta:
-        raise SanityFailure(
-            f"theta={theta} contradicts the parity rule for p={p}, d={d}"
-        )
-    return FieldContext(p=p, omega=omega, d=d, f=f, theta=theta, index_table=classes)
+    return FieldContext(p=p, omega=omega, d=d, f=(p - 1) // d,
+                        theta=_theta(p, d), index_table=classes)
 
 
 def _theta(p: int, d: int) -> int:
-    """theta, the class of -1 mod d: ind(-1) = (p-1)/2."""
+    """theta, the class of -1 mod d: ind(-1) = (p-1)/2 = d*f/2."""
     return ((p - 1) // 2) % d
 
 

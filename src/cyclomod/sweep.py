@@ -13,11 +13,12 @@ An order refused by its price, or every order when the shared field cannot
 be built, falls back to building its own context, so each failure is still
 reported against its own (p, d) key and the prime's other orders still
 print.  The writer consumes results in submission order, which keeps the
-output deterministic regardless of the worker count.  The process pool
-is imported only when a sweep runs more than one worker (--jobs > 1), so
-a single-worker sweep does not load multiprocessing.  A record's elapsed
-counts its own work, from deriving its context; the shared field's build
-time is added to the first record of the prime answered from it.
+output deterministic regardless of the worker count.  A sweep runs
+min(--jobs, primes) workers and imports the process pool only for more
+than one, so a single-worker sweep does not load multiprocessing.  A
+record's elapsed counts its own work, from deriving its context; the
+shared field's build time is added to the first record of the prime
+answered from it.
 
 verify_level "fast" compares solve's two exact routes, as solve always
 does: the walks on the class digraph against the n(k, v) recurrence at
@@ -169,12 +170,13 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     relations on the table (cyclotomy.verify_identities).  oracle-agreement
     compares every class with one brute-force sumset growth, which gives
     the lower bounds.  witness-upper-bounds builds an element of each class
-    as a sum of exactly per_class_s[alpha] powers along a breadth-first
-    tree of the table, and checks it from p, d and omega alone
-    (cyclotomy.check_witnesses).  low-order-count-identities checks rows
-    k = 2 and 3 of the recurrence against walks on the table, growing them
-    when solve did not.  For d = 3 or 4, closed-form-agreement compares
-    the closed forms and Dickson's formula tables.
+    as a sum of exactly per_class_s[alpha] powers along the walks that
+    solve answered with, the breadth-first tree cached on the table, and
+    checks it from p, d and omega alone (cyclotomy.check_witnesses).
+    low-order-count-identities checks rows k = 2 and 3 of the recurrence
+    against walks on the table, growing them when solve did not.  For
+    d = 3 or 4, closed-form-agreement compares the closed forms and
+    Dickson's formula tables.
     """
     checks: list[CheckResult] = []
     seq = solution.seq
@@ -439,10 +441,12 @@ def run_sweep(
 
     def results() -> Iterable:
         tasks = [(p, orders, verify_level, max_p) for p, orders in prime_orders(keys)]
-        if jobs > 1:
+        # the pool forks all its workers as it starts: one per prime at most
+        workers = min(jobs, len(tasks))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 # map() preserves submission order: it is the reorder buffer.
                 for outcomes in pool.map(_prime_job, tasks):
                     yield from outcomes

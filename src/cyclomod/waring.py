@@ -227,7 +227,7 @@ def solve(ctx: FieldContext) -> WaringSolution:
     seq = NSequence(table)
     p, d, theta = ctx.p, ctx.d, ctx.theta
     # the walks and the recurrence read class alpha at alpha + theta
-    walks = table.walk_lengths_to_theta
+    walks, _ = table.walks_to_theta
     by_walks = tuple(None if w is None else w + 1
                      for w in walks[theta:] + walks[:theta])
     if ctx.f <= 2:

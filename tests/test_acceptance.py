@@ -87,7 +87,7 @@ def test_three_way_solver_equivalence():
             table = compute_table(ctx)
             seq = NSequence(table)
             seq.extend(d, until_covered=True)
-            walks = table.walk_lengths_to_theta
+            walks, _ = table.walks_to_theta
             for alpha in range(d):
                 v = (alpha + ctx.theta) % d
                 s1 = seq.first_k[v]

@@ -204,9 +204,13 @@ def test_verify_identities_reports_violations():
 @pytest.mark.parametrize("p,d", [(7, 3), (13, 4), (29, 4), (11, 5)])
 def test_walk_lengths_reach_theta(p, d):
     table = compute_table(make_context(p, d))
-    dist = table.walk_lengths_to_theta
-    assert dist[table.ctx.theta] == 0
+    dist, steps = table.walks_to_theta
+    theta = table.ctx.theta
+    assert dist[theta] == 0 and steps[theta] is None
     assert all(x is not None for x in dist)
+    # each first step is an edge i -> steps[i] one walk shorter
+    for i, j in enumerate(steps):
+        assert i == theta or (table.counts[i][j] and dist[j] == dist[i] - 1)
 
 
 def test_table_past_the_cap_is_refused_before_counting():

@@ -530,25 +530,108 @@ def test_full_checks_fail_a_witness_that_does_not_check(monkeypatch):
 
 
 def test_a_spurious_incidence_on_a_tree_edge_fails_the_witnesses(monkeypatch, capsys):
-    # (37, 6) has no incidence at (0, 2); a rectangle move that puts one
-    # there (and keeps every row and column sum) makes 0 -> 2 the tree edge
-    # into class 2, and no x in class 0 has 1 + x in class 2
+    # (37, 6) has theta = 0 and no incidence at (2, 0); a rectangle move
+    # that puts one there (and keeps every row and column sum) makes
+    # 2 -> 0 the first step of class 2's walk, and no x in class 2 has
+    # 1 + x in class 0
     import cyclomod.waring as waring_module
 
     ctx = make_context(37, 6)
     counts = [list(row) for row in compute_table(ctx).counts]
-    assert counts[0][2] == 0 and counts[0][4] and counts[2][2]
+    assert counts[2][0] == 0 and counts[0][0] and counts[2][2]
     counts[0][2] += 1
-    counts[2][4] += 1
-    counts[0][4] -= 1
+    counts[2][0] += 1
+    counts[0][0] -= 1
     counts[2][2] -= 1
     doctored = table_from_counts(ctx, counts)
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
     assert main(["verify", "-p", "37", "-d", "6"]) == 1
     assert (
-        "FAIL (p=37, d=6) witness-upper-bounds: tree edge 0 -> 2 has no "
+        "FAIL (p=37, d=6) witness-upper-bounds: tree edge 2 -> 0 has no "
         "incidence; no proved witness for classes [2]"
     ) in capsys.readouterr().out.splitlines()
+
+
+def test_sweep_full_reports_a_failing_check_against_its_key(monkeypatch, capsys):
+    import cyclomod.oracle as oracle_module
+
+    real = oracle_module.sumset_lengths
+
+    def off(ctx):  # class 1 of (7, 3) one power too long
+        lengths = real(ctx)
+        if (ctx.p, ctx.d) == (7, 3):
+            lengths = (lengths[0], lengths[1] + 1, *lengths[2:])
+        return lengths
+
+    monkeypatch.setattr(oracle_module, "sumset_lengths", off)
+    failure = ("CyclomodError: verification failed for (p=7, d=3): "
+               "oracle-agreement: classes off: [(1, 3, 4)]")
+    assert main(["sweep", "-p", "7", "--verify", "full"]) == 0
+    captured = capsys.readouterr()
+    assert [parse_record_key(l, "json") for l in captured.out.splitlines()] == [
+        (7, 2), (7, 6)]
+    assert captured.err == f"sweep: (p=7, d=3) failed: {failure}\n"
+    assert main(["sweep", "-p", "7", "--verify", "full", "--strict"]) == 1
+    captured = capsys.readouterr()
+    assert [parse_record_key(l, "json") for l in captured.out.splitlines()] == [
+        (7, 2)]
+    assert captured.err.endswith(f"verification error: CyclomodError: {failure}\n")
+
+
+def test_low_order_count_identities_fail_on_shifted_rows(monkeypatch, capsys):
+    # m(2, 1) and m(3, 2) of (13, 3), each one off once the rows are grown
+    import cyclomod.waring as waring_module
+
+    real = waring_module.solve
+
+    def shifted(ctx):
+        solution = real(ctx)
+        solution.seq.extend(3)
+        solution.seq._m[2][1] += 1
+        solution.seq._m[3][2] -= 1
+        return solution
+
+    monkeypatch.setattr(waring_module, "solve", shifted)
+    assert main(["verify", "-p", "13", "-d", "3"]) == 1
+    assert (
+        "FAIL (p=13, d=3) low-order-count-identities: "
+        "violations: [('k=2', 1), ('k=3', 2)]"
+    ) in capsys.readouterr().out.splitlines()
+
+
+def test_closed_form_agreement_fails_on_a_wrong_closed_g(monkeypatch, capsys):
+    import cyclomod.closedform as closedform_module
+
+    real = closedform_module.closed_g
+    monkeypatch.setattr(closedform_module, "closed_g", lambda p, d: real(p, d) + 1)
+    assert main(["verify", "-p", "13", "-d", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "FAIL (p=13, d=3) closed-form-agreement: closed g=3 vs solved g=2",
+        "4/5 checks passed",
+    ]
+
+
+def test_closed_form_agreement_fails_on_a_missing_witness(monkeypatch, capsys):
+    # (29, 4) has g = 3, so its order-4 certificate must carry a witness
+    import cyclomod.closedform as closedform_module
+
+    monkeypatch.setattr(closedform_module, "_witness", lambda p, rep: None)
+    assert main(["verify", "-p", "29", "-d", "4"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "FAIL (p=29, d=4) closed-form-agreement: witness presence False vs g=3",
+        "4/5 checks passed",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"], ["verify"], ["sweep", "--pmin", "3"], ["verify", "--pmax", "7"],
+])
+def test_a_range_needs_both_bounds(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {argv[0]} needs --pmin/--pmax (or -p for a single prime)\n")
 
 
 @pytest.mark.parametrize("p,d,moves", [(13, 3, 14), (37, 6, 218), (61, 6, 354),
@@ -756,6 +839,40 @@ def test_cli_jobs_flag_beats_env(monkeypatch, capsys):
     monkeypatch.setenv("CYCLOMOD_JOBS", "0")
     assert main(["sweep", "-p", "5", "--jobs", "1"]) == 0
     assert capsys.readouterr().out.count("\n") == 2  # d = 2 and d = 4
+
+
+def in_process_pools(monkeypatch):
+    """Patch in a process pool that maps in-process; returns each max_workers."""
+    import concurrent.futures
+
+    opened = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return opened
+
+
+def test_sweep_opens_no_more_workers_than_primes(monkeypatch, capsys):
+    # the pool forks all of its workers as it starts, whatever the work
+    opened = in_process_pools(monkeypatch)
+    assert main(["sweep", "-p", "7", "--jobs", "64"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3  # d = 2, 3 and 6
+    assert opened == []  # one prime runs in-process
+    assert main(["sweep", "--pmin", "3", "--pmax", "7", "--jobs", "64"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6
+    assert opened == [3]  # primes 3, 5 and 7
 
 
 def test_cli_bare_cyclomod_error_exits_1(monkeypatch, capsys):

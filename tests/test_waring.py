@@ -39,7 +39,7 @@ def by_recurrence(table):
 def by_walks(table):
     """One more than each class's shortest walk from alpha + theta to theta."""
     ctx = table.ctx
-    walks = table.walk_lengths_to_theta
+    walks, _ = table.walks_to_theta
     return [walks[(alpha + ctx.theta) % ctx.d] + 1 for alpha in range(ctx.d)]
 
 
@@ -294,7 +294,7 @@ def test_unreachable_raises_on_doctored_table():
             for row in table.counts
         ),
     )
-    assert doctored.walk_lengths_to_theta == (0, None, None)
+    assert doctored.walks_to_theta == ((0, None, None), (None, None, None))
 
 
 def test_solve_examples():
@@ -320,9 +320,10 @@ def long_walks(monkeypatch):
     """Walks of 98 steps from every class but theta itself."""
     monkeypatch.setattr(
         CyclotomyTable,
-        "walk_lengths_to_theta",
-        property(lambda table: tuple(0 if v == table.ctx.theta else 98
-                                     for v in range(table.ctx.d))),
+        "walks_to_theta",
+        property(lambda table: (tuple(0 if v == table.ctx.theta else 98
+                                      for v in range(table.ctx.d)),
+                                (None,) * table.ctx.d)),
     )
 
 
