@@ -273,9 +273,10 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     """Print each check of every order; an order that raises is keyed on stderr.
 
-    As in sweep, a failing order does not stop the run.  The exit code is
-    1 if a check failed or an order raised anything but an InputError, else
-    2 if an order was refused with an InputError, else 0.
+    Each prime's orders get their contexts as in sweep (sweep.prime_results),
+    and a failing order does not stop the run.  The exit code is 1 if a
+    check failed or an order raised anything but an InputError, else 2 if
+    an order was refused with an InputError, else 0.
     """
     pmin, pmax = _prime_bounds(args)
     # a malformed CYCLOMOD_MAX_P refuses the run instead of every order
@@ -284,16 +285,13 @@ def cmd_verify(args) -> int:
     refused = broken = False
     keys = sweep.record_keys(pmin, pmax, args.order)
     for p, orders in sweep.prime_orders(keys):
-        # one field per prime; an order it does not serve raises its own error
-        fields = sweep.prime_fields(p, orders, max_p)
-        for d in orders:
-            try:
-                ctx = sweep.order_context(p, d, fields.get(d), max_p)
-                checks = sweep.full_checks(waring.solve(ctx))
-            except Exception as exc:  # whatever the type, the failure stays keyed
-                print(f"verify: (p={p}, d={d}) failed: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-                if isinstance(exc, InputError):
+        for d, checks, _ in sweep.prime_results(
+            p, orders, lambda ctx: sweep.full_checks(waring.solve(ctx)), max_p
+        ):
+            if isinstance(checks, Exception):
+                print(f"verify: (p={p}, d={d}) failed: "
+                      f"{type(checks).__name__}: {checks}", file=sys.stderr)
+                if isinstance(checks, InputError):
                     refused = True
                 else:
                     broken = True
@@ -387,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="abort on the first failed record")
     sp.add_argument("--verify", choices=("fast", "full"), default="fast")
     sp.add_argument("--jobs", type=int,
-                    help="worker processes, at least 1 (default 1)")
+                    help="worker processes, at least 1 (default 1); no more "
+                         "than the primes or the CPUs are started")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the full check battery, print PASS/FAIL")

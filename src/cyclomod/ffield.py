@@ -32,7 +32,8 @@ order L, class_d(a) = class_L(a) mod d, so FieldContext.for_order(d)
 derives the order-d context from the proven order-L array, over the whole
 array at once (bytes.translate for byte classes, integer-lane steps a
 chunk at a time for wider ones), and the proof holds for it as it stands.
-A sweep builds one field per prime, at the lcm of its orders.
+A sweep builds one field per prime, at the lcm L of its orders, when L
+prices like any order (sweep.prime_results).
 """
 
 from __future__ import annotations

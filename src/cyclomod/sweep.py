@@ -5,20 +5,19 @@ A sweep walks primes in ascending order and, for each admissible order d
 solves all classes and emits one record.  Records are written incrementally
 in ascending (p, d) order so interrupted runs can resume by skipping keys
 already present in the output file.  Worker processes fan out over primes:
-one job solves every order of its prime.  The job first runs each order's
-cheap checks and its table's price, then builds one field of p at the lcm
-L of the orders that pass (prime_fields), and derives each order's context
-from it (FieldContext.for_order) instead of building a field per order.
-An order refused by its price, or every order when the shared field cannot
-be built, falls back to building its own context, so each failure is still
-reported against its own (p, d) key and the prime's other orders still
-print.  The writer consumes results in submission order, which keeps the
-output deterministic regardless of the worker count.  A sweep runs
-min(--jobs, primes) workers and imports the process pool only for more
-than one, so a single-worker sweep does not load multiprocessing.  A
-record's elapsed counts its own work, from deriving its context; the
-shared field's build time is added to the first record of the prime
-answered from it.
+one job solves every order of its prime through prime_results, as the
+verify command does.  Each order's context derives from one field of p,
+built at the lcm L of the orders that pass their price and priced like
+any order (FieldContext.for_order); an order refused by its price, or
+every order when that field is priced out or fails, builds its own
+context, so each failure is reported against its own (p, d) key and the
+prime's other orders still print.  The writer consumes results in
+submission order, which keeps the output deterministic regardless of the
+worker count.  A sweep runs min(--jobs, primes, CPUs) workers and imports
+the process pool only for more than one, so a single-worker sweep does
+not load multiprocessing.  A record's elapsed counts its own work, from
+deriving its context; the shared field's build time is added to the
+first record of the prime answered from it.
 
 verify_level "fast" compares solve's two exact routes, as solve always
 does: the walks on the class digraph against the n(k, v) recurrence at
@@ -44,7 +43,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import closedform, cyclotomy, oracle, waring
 from .cyclotomy import CheckResult
@@ -122,45 +121,50 @@ def prime_orders(keys: Iterable[tuple[int, int]]) -> list[tuple[int, list[int]]]
     return [(p, [d for _, d in group]) for p, group in groupby(keys, lambda k: k[0])]
 
 
-def prime_fields(
-    p: int, orders: Iterable[int], max_p: int | None = None
-) -> dict[int, FieldContext]:
-    """The one field of p that each order's context derives from.
+def prime_results(
+    p: int, orders: list[int], work: Callable[[FieldContext], object],
+    max_p: int | None = None,
+) -> Iterator[tuple[int, object, int]]:
+    """Run work on the order-d context of p for each order d, from one field.
 
-    Each order d runs make_context's cheap checks (reduced_order) and the
+    Each order runs make_context's cheap checks (reduced_order) and the
     table's price (cyclotomy.require_table_fits), as every solving caller
-    does.  One field is built at the lcm of the orders that pass, and each
-    of them maps to it.  An order that fails is left out, and so is every
-    order when the shared field cannot be built: those build their own
-    context, which raises their own error.
+    does.  One field is built at the lcm L of the orders that pass, priced
+    like any order, and each of them derives its context from it
+    (FieldContext.for_order).  An order that fails, and every order when
+    the shared field is priced out or cannot be built, builds its own
+    context, which raises its own error.  Yields (d, what work returned or the exception raised,
+    elapsed ms), in the order given; elapsed counts the order's own work
+    from deriving its context, and the shared field's build time is added
+    to the first order answered from it.
     """
-    passed = []
+    start = time.perf_counter()
+    shared = []
     for d in orders:
         try:
             cyclotomy.require_table_fits(p, reduced_order(p, d, max_p=max_p))
         except Exception:  # raised again, keyed, when d builds its own context
             continue
-        passed.append(d)
-    if not passed:
-        return {}
-    try:
-        field = make_context(p, math.lcm(*passed), max_p=max_p)
-    except Exception:
-        return {}
-    return dict.fromkeys(passed, field)
-
-
-def order_context(
-    p: int, d: int, field: FieldContext | None = None, max_p: int | None = None
-) -> FieldContext:
-    """The order-d context of p, from field when prime_fields gave d one.
-
-    field is a field of p that d divides, already priced for d; without
-    one, the context is built here, priced as prime_fields prices it.
-    """
-    if field is None:
-        return make_context(p, d, max_p=max_p, guard=cyclotomy.require_table_fits)
-    return field.for_order(d)
+        shared.append(d)
+    if shared:
+        try:
+            field = make_context(p, math.lcm(*shared), max_p=max_p,
+                                 guard=cyclotomy.require_table_fits)
+        except Exception:
+            shared = []
+    field_s = time.perf_counter() - start
+    for d in orders:
+        start = time.perf_counter()
+        try:
+            ctx = (field.for_order(d) if d in shared else make_context(
+                p, d, max_p=max_p, guard=cyclotomy.require_table_fits))
+            result = work(ctx)
+        except Exception as exc:  # whatever the type, the failure stays keyed
+            result = exc
+        elapsed = time.perf_counter() - start
+        if field_s and d in shared and not isinstance(result, Exception):
+            elapsed, field_s = elapsed + field_s, 0.0
+        yield d, result, int(elapsed * 1000)
 
 
 def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
@@ -261,19 +265,11 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     return checks
 
 
-def solve_single(
-    p: int,
-    d: int,
-    verify_level: str,
-    max_p: int | None = None,
-    field: FieldContext | None = None,
-) -> SweepRecord:
-    """Solve one (p, d) pair and run the checks for the requested level.
+def solve_single(ctx: FieldContext, verify_level: str) -> SweepRecord:
+    """Solve one context and run the checks for the level; raise if one fails.
 
-    field, when given, is the field prime_fields gave d (order_context).
+    The record's elapsed is left 0 for the caller that timed the order.
     """
-    start = time.perf_counter()
-    ctx = order_context(p, d, field, max_p)
     solution = waring.solve(ctx)
     closed_match: bool | None = None
     if verify_level == "full":
@@ -281,12 +277,11 @@ def solve_single(
         failures = [c for c in checks if not c.passed]
         if failures:
             raise CyclomodError(
-                f"verification failed for (p={p}, d={ctx.d}): "
+                f"verification failed for (p={ctx.p}, d={ctx.d}): "
                 + "; ".join(f"{c.name}: {c.detail}" for c in failures)
             )
         if ctx.d in (3, 4):
             closed_match = True
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
     return SweepRecord(
         p=ctx.p,
         d=ctx.d,
@@ -297,7 +292,7 @@ def solve_single(
         g=solution.g,
         methods_agree=True,
         closed_form_match=closed_match,
-        elapsed=elapsed_ms,
+        elapsed=0,
     )
 
 
@@ -388,23 +383,16 @@ def scan_completed(path: str, fmt: str) -> set[tuple[int, int]]:
 
 
 def _prime_job(args: tuple[int, list[int], str, int]) -> list[tuple]:
-    """Every order of one prime, from one shared field, each outcome keyed."""
+    """Every order of one prime (prime_results), each outcome keyed."""
     p, orders, verify_level, max_p = args
-    start = time.perf_counter()
-    fields = prime_fields(p, orders, max_p)
-    field_ms = int((time.perf_counter() - start) * 1000)
     outcomes = []
-    for d in orders:
-        field = fields.get(d)
-        try:
-            record = solve_single(p, d, verify_level, max_p, field)
-        except Exception as exc:  # whatever the type, the failure stays keyed
-            outcomes.append(("err", (p, d), f"{type(exc).__name__}: {exc}"))
-            continue
-        if field is not None and field_ms:  # the first record answered from it
-            record = replace(record, elapsed=record.elapsed + field_ms)
-            field_ms = 0
-        outcomes.append(("ok", record))
+    for d, result, ms in prime_results(
+        p, orders, lambda ctx: solve_single(ctx, verify_level), max_p
+    ):
+        if isinstance(result, Exception):
+            outcomes.append(("err", (p, d), f"{type(result).__name__}: {result}"))
+        else:
+            outcomes.append(("ok", replace(result, elapsed=ms) if ms else result))
     return outcomes
 
 
@@ -441,8 +429,9 @@ def run_sweep(
 
     def results() -> Iterable:
         tasks = [(p, orders, verify_level, max_p) for p, orders in prime_orders(keys)]
-        # the pool forks all its workers as it starts: one per prime at most
-        workers = min(jobs, len(tasks))
+        # the pool forks all its workers as it starts: one per prime and
+        # one per CPU at most
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 

@@ -22,6 +22,7 @@ from cyclomod.sweep import (
     emit,
     full_checks,
     parse_record_key,
+    prime_results,
     run_sweep,
     scan_completed,
     solve_single,
@@ -45,7 +46,7 @@ def test_admissible_orders():
 
 
 def test_solve_single_record_fields():
-    rec = solve_single(7, 3, "full")
+    rec = solve_single(make_context(7, 3), "full")
     assert (rec.p, rec.d, rec.f, rec.theta, rec.omega) == (7, 3, 2, 0, 3)
     assert rec.per_class_s == (1, 3, 2)
     assert rec.g == 3
@@ -55,7 +56,7 @@ def test_solve_single_record_fields():
 
 
 def test_solve_single_fast_leaves_closed_form_unset():
-    rec = solve_single(7, 3, "fast")
+    rec = solve_single(make_context(7, 3), "fast")
     assert rec.closed_form_match is None
 
 
@@ -75,7 +76,7 @@ def test_full_checks_grow_the_rows_that_solve_skips_at_small_f():
 
 
 def test_emit_json_field_order_and_strings():
-    rec = solve_single(7, 3, "full")
+    rec = solve_single(make_context(7, 3), "full")
     line = emit(rec, "json")
     data = json.loads(line)
     assert list(data) == [
@@ -89,7 +90,7 @@ def test_emit_json_field_order_and_strings():
 
 
 def test_emit_json_omits_closed_form_when_not_applicable():
-    rec = solve_single(11, 5, "fast")
+    rec = solve_single(make_context(11, 5), "fast")
     data = json.loads(emit(rec, "json"))
     assert "closed_form_match" not in data
     assert data["f"] == "2"
@@ -97,14 +98,14 @@ def test_emit_json_omits_closed_form_when_not_applicable():
 
 
 def test_emit_csv():
-    rec = solve_single(7, 3, "full")
+    rec = solve_single(make_context(7, 3), "full")
     assert emit(rec, "csv") == f"7,3,2,0,3,1;3;2,3,true,true,{rec.elapsed}"
     with pytest.raises(ValueError):
         emit(rec, "toml")
 
 
 def test_parse_record_key():
-    rec = solve_single(7, 3, "fast")
+    rec = solve_single(make_context(7, 3), "fast")
     assert parse_record_key(emit(rec, "json"), "json") == (7, 3)
     assert parse_record_key(emit(rec, "csv"), "csv") == (7, 3)
     assert parse_record_key("p,d,f", "csv") is None
@@ -209,10 +210,10 @@ def test_sweep_strict_aborts_on_failure(monkeypatch, capsys):
 
     real = sweep_module.solve_single
 
-    def failing(p, d, verify_level, max_p=None, field=None):
-        if (p, d) == (7, 3):
+    def failing(ctx, verify_level):
+        if (ctx.p, ctx.d) == (7, 3):
             raise CyclomodError("synthetic failure")
-        return real(p, d, verify_level, max_p, field)
+        return real(ctx, verify_level)
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
     with pytest.raises(CyclomodError):
@@ -231,10 +232,10 @@ def test_sweep_reports_any_exception_by_key(monkeypatch, capsys):
 
     real = sweep_module.solve_single
 
-    def failing(p, d, verify_level, max_p=None, field=None):
-        if (p, d) == (7, 3):
+    def failing(ctx, verify_level):
+        if (ctx.p, ctx.d) == (7, 3):
             raise RuntimeError("synthetic bug")
-        return real(p, d, verify_level, max_p, field)
+        return real(ctx, verify_level)
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
     records = list(run_sweep(3, 11, verify_level="fast"))
@@ -321,16 +322,59 @@ def test_a_failed_shared_field_leaves_each_order_its_own(monkeypatch, capsys):
     )
 
 
+def test_verify_and_sweep_share_one_field_and_the_same_contexts(
+    monkeypatch, capsys
+):
+    import cyclomod.waring as waring_module
+
+    built = _count_fields(monkeypatch)
+    real = waring_module.solve
+    seen = []
+
+    def recording(ctx):
+        seen.append((ctx.p, ctx.d, ctx.omega, bytes(ctx.index_table)))
+        return real(ctx)
+
+    monkeypatch.setattr(waring_module, "solve", recording)
+    assert main(["verify", "-p", "13"]) == 0
+    verified, seen[:] = seen[:], []
+    assert built == [(13, 12)]
+    built.clear()
+    assert main(["sweep", "-p", "13", "--verify", "full"]) == 0
+    assert built == [(13, 12)]
+    assert seen == verified
+    assert [(p, d) for p, d, _, _ in seen] == [(13, d) for d in admissible_orders(13)]
+    assert capsys.readouterr().err == ""
+
+
+def test_the_shared_field_is_priced_like_any_order(monkeypatch):
+    # L = 5476 fits the table cap, so p = 5477 builds one field; at p = 5479
+    # L = 5478 is priced out with the order 5478, and every order that
+    # passes builds its own
+    built = _count_fields(monkeypatch)
+    orders = admissible_orders(5477)
+    results = list(prime_results(5477, orders, lambda ctx: ctx.d))
+    assert results == [(d, d, ms) for d, _, ms in results]
+    assert [d for d, _, _ in results] == orders
+    assert built == [(5477, 5476)]
+    built.clear()
+    orders = admissible_orders(5479)
+    results = list(prime_results(5479, orders, lambda ctx: ctx.d))
+    assert built == [(5479, d) for d in orders if d != 5478]
+    assert [type(r).__name__ for d, r, _ in results if d == 5478] == ["ScaleGuard"]
+
+
 def test_sweep_charges_the_shared_field_to_one_record(monkeypatch):
     import cyclomod.sweep as sweep_module
 
-    real = sweep_module.prime_fields
+    real = sweep_module.make_context
 
-    def slow(*args):
-        time.sleep(0.2)
-        return real(*args)
+    def slow(p, d, **kwargs):
+        if d == 12:  # the shared field, at the lcm of 13's orders
+            time.sleep(0.2)
+        return real(p, d, **kwargs)
 
-    monkeypatch.setattr(sweep_module, "prime_fields", slow)
+    monkeypatch.setattr(sweep_module, "make_context", slow)
     elapsed = [r.elapsed for r in run_sweep(13, 13, verify_level="fast")]
     assert elapsed[0] >= 200 and max(elapsed[1:]) < 200
 
@@ -475,7 +519,7 @@ def test_oversized_recurrence_refused_before_the_field(monkeypatch, capsys):
     assert main(["sd", "-p", "4001", "-d", "4000", "-a", "4000"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert (data["g"], data["class"], data["s"]) == ("4000", "2000", "4000")
-    record = solve_single(4001, 4000, "fast")
+    record = solve_single(make_context(4001, 4000), "fast")
     assert record.per_class_s == small_f_lengths(4001, 4000, record.omega)
 
 
@@ -694,7 +738,7 @@ def test_full_verification_answers_past_the_series_cap(capsys):
     assert captured.err == ""
     record = json.loads(captured.out)
     assert record["g"] == "600"
-    fast = solve_single(601, 600, "fast")
+    fast = solve_single(make_context(601, 600), "fast")
     assert record["per_class_s"] == [str(s) for s in fast.per_class_s]
 
 
@@ -867,6 +911,7 @@ def in_process_pools(monkeypatch):
 def test_sweep_opens_no_more_workers_than_primes(monkeypatch, capsys):
     # the pool forks all of its workers as it starts, whatever the work
     opened = in_process_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert main(["sweep", "-p", "7", "--jobs", "64"]) == 0
     assert capsys.readouterr().out.count("\n") == 3  # d = 2, 3 and 6
     assert opened == []  # one prime runs in-process
@@ -875,10 +920,22 @@ def test_sweep_opens_no_more_workers_than_primes(monkeypatch, capsys):
     assert opened == [3]  # primes 3, 5 and 7
 
 
+def test_sweep_opens_no_more_workers_than_cpus(monkeypatch, capsys):
+    opened = in_process_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["sweep", "--pmin", "3", "--pmax", "7", "--jobs", "64"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6
+    assert opened == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one, in-process
+    assert main(["sweep", "--pmin", "3", "--pmax", "7", "--jobs", "64"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6
+    assert opened == [2]
+
+
 def test_cli_bare_cyclomod_error_exits_1(monkeypatch, capsys):
     import cyclomod.sweep as sweep_module
 
-    def failing(p, d, verify_level, max_p=None, field=None):
+    def failing(ctx, verify_level):
         raise CyclomodError("synthetic failure")
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
@@ -924,7 +981,7 @@ def test_one_table_per_record(monkeypatch, capsys):
     # waring binds compute_table by name, so count under both bindings
     monkeypatch.setattr(cyclotomy_module, "compute_table", counting)
     monkeypatch.setattr(waring_module, "compute_table", counting)
-    solve_single(7, 3, "full")
+    solve_single(make_context(7, 3), "full")
     assert built == [(7, 3)]
     built.clear()
     assert main(["verify", "-p", "7"]) == 0
