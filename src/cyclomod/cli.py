@@ -286,7 +286,8 @@ def cmd_verify(args) -> int:
     keys = sweep.record_keys(pmin, pmax, args.order)
     for p, orders in sweep.prime_orders(keys):
         for d, checks, _ in sweep.prime_results(
-            p, orders, lambda ctx: sweep.full_checks(waring.solve(ctx)), max_p
+            p, orders, lambda d, context: sweep.full_checks(waring.solve(context())),
+            max_p,
         ):
             if isinstance(checks, Exception):
                 print(f"verify: (p={p}, d={d}) failed: "

@@ -33,7 +33,7 @@ derives the order-d context from the proven order-L array, over the whole
 array at once (bytes.translate for byte classes, integer-lane steps a
 chunk at a time for wider ones), and the proof holds for it as it stands.
 A sweep builds one field per prime, at the lcm L of its orders, when L
-prices like any order (sweep.prime_results).
+needs no 4-byte lanes (sweep.prime_results).
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ _FILL_CHUNK = 1 << 15
 # Passes are planned until at most p >> _FEW_SHIFT exponents are left
 # unset: walking those costs less than another O(p) pass.
 _FEW_SHIFT = 8
+
+# Orders from here take 4-byte lanes in the class array (_class_array).
+_WIDE_ORDER = 1 << 15
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24, far
 # beyond the supported range.
@@ -280,7 +283,7 @@ def _class_array(d: int, p: int) -> bytearray | array:
     """
     if d < 1 << 8:
         return bytearray(p)
-    return array("H" if d < 1 << 15 else "I", [0]) * p
+    return array("H" if d < _WIDE_ORDER else "I", [0]) * p
 
 
 def _reduce_classes(

@@ -6,18 +6,16 @@ solves all classes and emits one record.  Records are written incrementally
 in ascending (p, d) order so interrupted runs can resume by skipping keys
 already present in the output file.  Worker processes fan out over primes:
 one job solves every order of its prime through prime_results, as the
-verify command does.  Each order's context derives from one field of p,
-built at the lcm L of the orders that pass their price and priced like
-any order (FieldContext.for_order); an order refused by its price, or
-every order when that field is priced out or fails, builds its own
-context, so each failure is reported against its own (p, d) key and the
-prime's other orders still print.  The writer consumes results in
-submission order, which keeps the output deterministic regardless of the
-worker count.  A sweep runs min(--jobs, primes, CPUs) workers and imports
-the process pool only for more than one, so a single-worker sweep does
-not load multiprocessing.  A record's elapsed counts its own work, from
-deriving its context; the shared field's build time is added to the
-first record of the prime answered from it.
+verify command does: the orders derive their contexts from one field of
+p unless that needs 4-byte lanes, and each failure is reported against
+its own (p, d) key while the prime's other orders still print.  The
+writer consumes results in submission order, which keeps the output
+deterministic regardless of the worker count.  A sweep runs
+min(--jobs, primes, CPUs) workers and imports the process pool only for
+more than one, so a single-worker sweep does not load multiprocessing.
+A record's elapsed counts its own work, from building or deriving its
+context; the shared field's build time is added to the first record of
+the prime answered from it.
 
 verify_level "fast" compares solve's two exact routes, as solve always
 does: the walks on the class digraph against the n(k, v) recurrence at
@@ -42,6 +40,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -49,8 +48,8 @@ from . import closedform, cyclotomy, oracle, waring
 from .cyclotomy import CheckResult
 from .errors import CyclomodError
 from .ffield import (
-    FieldContext, _max_p_limit, make_context, prime_factors, primes_in_range,
-    reduced_order,
+    _WIDE_ORDER, FieldContext, _max_p_limit, make_context, prime_factors,
+    primes_in_range, reduced_order,
 )
 
 CSV_COLUMNS = (
@@ -122,47 +121,48 @@ def prime_orders(keys: Iterable[tuple[int, int]]) -> list[tuple[int, list[int]]]
 
 
 def prime_results(
-    p: int, orders: list[int], work: Callable[[FieldContext], object],
-    max_p: int | None = None,
+    p: int, orders: list[int], work: Callable[..., object], max_p: int | None = None
 ) -> Iterator[tuple[int, object, int]]:
-    """Run work on the order-d context of p for each order d, from one field.
+    """Run work(d, context) for each order d of p; context() gives d's context.
 
     Each order runs make_context's cheap checks (reduced_order) and the
     table's price (cyclotomy.require_table_fits), as every solving caller
-    does.  One field is built at the lcm L of the orders that pass, priced
-    like any order, and each of them derives its context from it
-    (FieldContext.for_order).  An order that fails, and every order when
-    the shared field is priced out or cannot be built, builds its own
-    context, which raises its own error.  Yields (d, what work returned or the exception raised,
-    elapsed ms), in the order given; elapsed counts the order's own work
-    from deriving its context, and the shared field's build time is added
-    to the first order answered from it.
+    does.  One field is built at the lcm L of the orders that pass, and
+    each of them derives its context from it (FieldContext.for_order).  An
+    order that fails builds its own context, which raises its own error;
+    so does every order when the field cannot be built, or when L needs
+    4-byte lanes, where deriving costs more than a field per order.
+    Yields (d, what work returned or the exception raised, without its
+    traceback, elapsed ms), in the order given; elapsed counts work, which
+    builds or derives the context, and the shared field's build time is
+    added to the first order answered from it.
     """
     start = time.perf_counter()
-    shared = []
+    shared, field = [], None
     for d in orders:
         try:
             cyclotomy.require_table_fits(p, reduced_order(p, d, max_p=max_p))
         except Exception:  # raised again, keyed, when d builds its own context
             continue
         shared.append(d)
-    if shared:
+    if shared and math.lcm(*shared) < _WIDE_ORDER:
         try:
-            field = make_context(p, math.lcm(*shared), max_p=max_p,
-                                 guard=cyclotomy.require_table_fits)
+            field = make_context(p, math.lcm(*shared), max_p=max_p)
         except Exception:
-            shared = []
+            pass
     field_s = time.perf_counter() - start
     for d in orders:
+        own = field is None or d not in shared
+        context = (partial(make_context, p, d, max_p=max_p,
+                           guard=cyclotomy.require_table_fits)
+                   if own else partial(field.for_order, d))
         start = time.perf_counter()
         try:
-            ctx = (field.for_order(d) if d in shared else make_context(
-                p, d, max_p=max_p, guard=cyclotomy.require_table_fits))
-            result = work(ctx)
+            result = work(d, context)
         except Exception as exc:  # whatever the type, the failure stays keyed
-            result = exc
+            result = exc.with_traceback(None)  # frees the frames it ran in
         elapsed = time.perf_counter() - start
-        if field_s and d in shared and not isinstance(result, Exception):
+        if not own and field_s and not isinstance(result, Exception):
             elapsed, field_s = elapsed + field_s, 0.0
         yield d, result, int(elapsed * 1000)
 
@@ -265,11 +265,15 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     return checks
 
 
-def solve_single(ctx: FieldContext, verify_level: str) -> SweepRecord:
-    """Solve one context and run the checks for the level; raise if one fails.
+def solve_single(
+    p: int, d: int, verify_level: str, context: Callable[[], FieldContext]
+) -> SweepRecord:
+    """Solve (p, d) and run the checks for the level; raise if one fails.
 
-    The record's elapsed is left 0 for the caller that timed the order.
+    context() builds or derives the order-d context (prime_results).  The
+    record's elapsed is left 0 for the caller that timed the order.
     """
+    ctx = context()
     solution = waring.solve(ctx)
     closed_match: bool | None = None
     if verify_level == "full":
@@ -277,7 +281,7 @@ def solve_single(ctx: FieldContext, verify_level: str) -> SweepRecord:
         failures = [c for c in checks if not c.passed]
         if failures:
             raise CyclomodError(
-                f"verification failed for (p={ctx.p}, d={ctx.d}): "
+                f"verification failed for (p={p}, d={ctx.d}): "
                 + "; ".join(f"{c.name}: {c.detail}" for c in failures)
             )
         if ctx.d in (3, 4):
@@ -387,7 +391,8 @@ def _prime_job(args: tuple[int, list[int], str, int]) -> list[tuple]:
     p, orders, verify_level, max_p = args
     outcomes = []
     for d, result, ms in prime_results(
-        p, orders, lambda ctx: solve_single(ctx, verify_level), max_p
+        p, orders, lambda d, context: solve_single(p, d, verify_level, context),
+        max_p,
     ):
         if isinstance(result, Exception):
             outcomes.append(("err", (p, d), f"{type(result).__name__}: {result}"))

@@ -46,7 +46,7 @@ def test_admissible_orders():
 
 
 def test_solve_single_record_fields():
-    rec = solve_single(make_context(7, 3), "full")
+    rec = solve_single(7, 3, "full", lambda: make_context(7, 3))
     assert (rec.p, rec.d, rec.f, rec.theta, rec.omega) == (7, 3, 2, 0, 3)
     assert rec.per_class_s == (1, 3, 2)
     assert rec.g == 3
@@ -56,7 +56,7 @@ def test_solve_single_record_fields():
 
 
 def test_solve_single_fast_leaves_closed_form_unset():
-    rec = solve_single(make_context(7, 3), "fast")
+    rec = solve_single(7, 3, "fast", lambda: make_context(7, 3))
     assert rec.closed_form_match is None
 
 
@@ -76,7 +76,7 @@ def test_full_checks_grow_the_rows_that_solve_skips_at_small_f():
 
 
 def test_emit_json_field_order_and_strings():
-    rec = solve_single(make_context(7, 3), "full")
+    rec = solve_single(7, 3, "full", lambda: make_context(7, 3))
     line = emit(rec, "json")
     data = json.loads(line)
     assert list(data) == [
@@ -90,7 +90,7 @@ def test_emit_json_field_order_and_strings():
 
 
 def test_emit_json_omits_closed_form_when_not_applicable():
-    rec = solve_single(make_context(11, 5), "fast")
+    rec = solve_single(11, 5, "fast", lambda: make_context(11, 5))
     data = json.loads(emit(rec, "json"))
     assert "closed_form_match" not in data
     assert data["f"] == "2"
@@ -98,14 +98,14 @@ def test_emit_json_omits_closed_form_when_not_applicable():
 
 
 def test_emit_csv():
-    rec = solve_single(make_context(7, 3), "full")
+    rec = solve_single(7, 3, "full", lambda: make_context(7, 3))
     assert emit(rec, "csv") == f"7,3,2,0,3,1;3;2,3,true,true,{rec.elapsed}"
     with pytest.raises(ValueError):
         emit(rec, "toml")
 
 
 def test_parse_record_key():
-    rec = solve_single(make_context(7, 3), "fast")
+    rec = solve_single(7, 3, "fast", lambda: make_context(7, 3))
     assert parse_record_key(emit(rec, "json"), "json") == (7, 3)
     assert parse_record_key(emit(rec, "csv"), "csv") == (7, 3)
     assert parse_record_key("p,d,f", "csv") is None
@@ -210,10 +210,10 @@ def test_sweep_strict_aborts_on_failure(monkeypatch, capsys):
 
     real = sweep_module.solve_single
 
-    def failing(ctx, verify_level):
-        if (ctx.p, ctx.d) == (7, 3):
+    def failing(p, d, verify_level, context):
+        if (p, d) == (7, 3):
             raise CyclomodError("synthetic failure")
-        return real(ctx, verify_level)
+        return real(p, d, verify_level, context)
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
     with pytest.raises(CyclomodError):
@@ -232,10 +232,10 @@ def test_sweep_reports_any_exception_by_key(monkeypatch, capsys):
 
     real = sweep_module.solve_single
 
-    def failing(ctx, verify_level):
-        if (ctx.p, ctx.d) == (7, 3):
+    def failing(p, d, verify_level, context):
+        if (p, d) == (7, 3):
             raise RuntimeError("synthetic bug")
-        return real(ctx, verify_level)
+        return real(p, d, verify_level, context)
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
     records = list(run_sweep(3, 11, verify_level="fast"))
@@ -347,21 +347,50 @@ def test_verify_and_sweep_share_one_field_and_the_same_contexts(
     assert capsys.readouterr().err == ""
 
 
-def test_the_shared_field_is_priced_like_any_order(monkeypatch):
-    # L = 5476 fits the table cap, so p = 5477 builds one field; at p = 5479
-    # L = 5478 is priced out with the order 5478, and every order that
-    # passes builds its own
+def test_the_shared_field_needs_no_wide_lanes(monkeypatch):
+    # at p = 5479 the orders that pass their price have lcm L = 5478, an
+    # order whose own table is priced out, and share one field of 2-byte
+    # lanes; at p = 32771, L = 32770 would take 4-byte lanes, so each order
+    # that passes builds its own
     built = _count_fields(monkeypatch)
-    orders = admissible_orders(5477)
-    results = list(prime_results(5477, orders, lambda ctx: ctx.d))
-    assert results == [(d, d, ms) for d, _, ms in results]
-    assert [d for d, _, _ in results] == orders
-    assert built == [(5477, 5476)]
-    built.clear()
     orders = admissible_orders(5479)
-    results = list(prime_results(5479, orders, lambda ctx: ctx.d))
-    assert built == [(5479, d) for d in orders if d != 5478]
-    assert [type(r).__name__ for d, r, _ in results if d == 5478] == ["ScaleGuard"]
+    results = list(prime_results(5479, orders, lambda d, context: context().d))
+    assert built == [(5479, 5478)]
+    assert [(d, r) for d, r, _ in results if d != 5478] == [
+        (d, d) for d in orders if d != 5478]
+    [(_, refused, _)] = [r for r in results if r[0] == 5478]
+    assert isinstance(refused, ScaleGuard) and refused.__traceback__ is None
+    built.clear()
+    orders = admissible_orders(32771)
+    results = list(prime_results(32771, orders, lambda d, context: context().d))
+    passed = [d for d in orders if d <= 5477]
+    assert built == [(32771, d) for d in passed]
+    assert [d for d, r, _ in results if r == d] == passed
+
+
+def test_a_key_refused_at_its_context_fails_out_of_solve_single(
+    monkeypatch, capsys
+):
+    # the context is built inside solve_single, so whatever wraps it sees
+    # a refused key fail as it sees a failed check
+    import cyclomod.sweep as sweep_module
+
+    real = sweep_module.solve_single
+    raised = []
+
+    def watching(p, d, verify_level, context):
+        try:
+            return real(p, d, verify_level, context)
+        except Exception as exc:
+            raised.append((p, d, type(exc).__name__))
+            raise
+
+    monkeypatch.setattr(sweep_module, "solve_single", watching)
+    keys = [(r.p, r.d) for r in run_sweep(7, 11, verify_level="fast", max_p=7)]
+    assert keys == [(7, 2), (7, 3), (7, 6)]
+    assert raised == [(11, 2, "ScaleGuard"), (11, 5, "ScaleGuard"),
+                      (11, 10, "ScaleGuard")]
+    assert capsys.readouterr().err.count(": ScaleGuard: p=11 exceeds") == 3
 
 
 def test_sweep_charges_the_shared_field_to_one_record(monkeypatch):
@@ -519,7 +548,7 @@ def test_oversized_recurrence_refused_before_the_field(monkeypatch, capsys):
     assert main(["sd", "-p", "4001", "-d", "4000", "-a", "4000"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert (data["g"], data["class"], data["s"]) == ("4000", "2000", "4000")
-    record = solve_single(make_context(4001, 4000), "fast")
+    record = solve_single(4001, 4000, "fast", lambda: make_context(4001, 4000))
     assert record.per_class_s == small_f_lengths(4001, 4000, record.omega)
 
 
@@ -738,7 +767,7 @@ def test_full_verification_answers_past_the_series_cap(capsys):
     assert captured.err == ""
     record = json.loads(captured.out)
     assert record["g"] == "600"
-    fast = solve_single(make_context(601, 600), "fast")
+    fast = solve_single(601, 600, "fast", lambda: make_context(601, 600))
     assert record["per_class_s"] == [str(s) for s in fast.per_class_s]
 
 
@@ -935,7 +964,7 @@ def test_sweep_opens_no_more_workers_than_cpus(monkeypatch, capsys):
 def test_cli_bare_cyclomod_error_exits_1(monkeypatch, capsys):
     import cyclomod.sweep as sweep_module
 
-    def failing(ctx, verify_level):
+    def failing(p, d, verify_level, context):
         raise CyclomodError("synthetic failure")
 
     monkeypatch.setattr(sweep_module, "solve_single", failing)
@@ -981,7 +1010,7 @@ def test_one_table_per_record(monkeypatch, capsys):
     # waring binds compute_table by name, so count under both bindings
     monkeypatch.setattr(cyclotomy_module, "compute_table", counting)
     monkeypatch.setattr(waring_module, "compute_table", counting)
-    solve_single(make_context(7, 3), "full")
+    solve_single(7, 3, "full", lambda: make_context(7, 3))
     assert built == [(7, 3)]
     built.clear()
     assert main(["verify", "-p", "7"]) == 0
