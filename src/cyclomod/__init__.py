@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _SOURCES = {
-    "brute_s": "oracle",
     "closed_g": "closedform",
     "compute_table": "cyclotomy",
     "diophantine_witness": "closedform",

@@ -245,7 +245,7 @@ def _witness(p: int, rep: QuadFormRep) -> DiophantineWitness | None:
     # each column's (i, count) pairs, as walks reads them
     columns = [[(i, formula[i][j]) for i in range(4) if formula[i][j]]
                for j in range(4)]
-    dist, _ = walks(columns, theta)
+    dist = walks(columns, theta)
     # class alpha needs dist + 1 summands: four means no walk of length <= 2
     return DiophantineWitness(
         parity=parity,

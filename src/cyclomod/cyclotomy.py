@@ -16,11 +16,11 @@ recurrence pushes values along the columns, the walks read them as the
 reversed edges, and the classical checks read them once and return one
 CheckResult each; the row view and the dense d x d matrix are derived only
 when a printer, the order-3 and order-4 closed forms or a test asks for
-them.  One breadth-first search toward the class of -1 leaves a tree of
-shortest walks, cached on the table: solve reads its lengths, and the full
-checks build upper-bound witnesses along it (one incidence per tree edge,
-found in a second pass over the same codes), explicit sums of powers in
-every class that check_witnesses proves from p, d and omega alone.
+them.  One breadth-first search toward the class of -1 gives every
+class's walk length, which solve reads.  The upper-bound witnesses, explicit
+sums of powers in every class that check_witnesses proves from p, d and
+omega alone, come from the power-class array, not the table
+(field_witnesses).
 The definitional double loop and the per-residue tally are kept in the
 test suite as independent oracles.
 """
@@ -95,26 +95,19 @@ class CyclotomyTable:
                 sums[i] += c
         return tuple(sums)
 
-    @cached_property
-    def walks_to_theta(self) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
-        """walks(columns, theta): the walks from each class to the class of -1."""
-        return walks(self.columns, self.ctx.theta)
-
 
 def walks(
     columns: Sequence[Sequence[tuple[int, int]]], target: int
-) -> tuple[tuple[int | None, ...], tuple[int | None, ...]]:
-    """Shortest walks to target: each class's length and first step.
+) -> tuple[int | None, ...]:
+    """Each class's shortest walk length to target; None if it has none.
 
     Walks live in the digraph with an edge i -> j for every nonzero entry
     (i, j), given as CyclotomyTable.columns: the rows i of column j's
     (i, count) pairs are the sources of the edges into j.  One
     breadth-first search over those reversed edges serves every source
-    class at once.  Returns (lengths, steps): class i steps first to
-    steps[i], one shorter; None marks an unreachable class and target's step.
+    class at once.
     """
     dist: list[int | None] = [None] * len(columns)
-    step: list[int | None] = [None] * len(columns)
     dist[target] = 0
     frontier = deque([target])
     while frontier:
@@ -122,9 +115,8 @@ def walks(
         for i, _ in columns[j]:
             if dist[i] is None:
                 dist[i] = dist[j] + 1
-                step[i] = j
                 frontier.append(i)
-    return tuple(dist), tuple(step)
+    return tuple(dist)
 
 
 def require_table_fits(p: int, d: int) -> None:
@@ -147,15 +139,15 @@ def _code_typecode(d: int) -> str:
     return "B" if cells <= 1 << 8 else "H" if cells <= 1 << 16 else "I"
 
 
-def _coded_chunks(ctx: FieldContext) -> Iterator[tuple[int, bytes]]:
+def _coded_chunks(ctx: FieldContext) -> Iterator[bytes]:
     """The codes class(x + 1) * d + class(x) of x = 1..p-2, a chunk at a time.
 
-    Yields (lo, coded): coded holds the codes of x = lo, lo + 1, ... in
-    consecutive lanes of _code_typecode(d), native byte order.  A chunk of
-    the power-class array is read as two integers X and Y of lanes, one
-    lane per x, shifted by one residue; the lanes are widened first if
-    d*d - 1 does not fit them.  Then Y * d + X holds every code of the
-    chunk in its own lane, with no carry between lanes.
+    Each chunk holds the codes of consecutive x in consecutive lanes of
+    _code_typecode(d), native byte order.  A chunk of the power-class array
+    is read as two integers X and Y of lanes, one lane per x, shifted by
+    one residue; the lanes are widened first if d*d - 1 does not fit them.
+    Then Y * d + X holds every code of the chunk in its own lane, with no
+    carry between lanes.
     """
     p, d = ctx.p, ctx.d
     typecode = _code_typecode(d)
@@ -167,7 +159,7 @@ def _coded_chunks(ctx: FieldContext) -> Iterator[tuple[int, bytes]]:
             lanes = memoryview(array(typecode, lanes))
         x = int.from_bytes(lanes[:-1], sys.byteorder)
         y = int.from_bytes(lanes[1:], sys.byteorder)
-        yield lo, (y * d + x).to_bytes(lanes[1:].nbytes, sys.byteorder)
+        yield (y * d + x).to_bytes(lanes[1:].nbytes, sys.byteorder)
 
 
 def _tally_by_planes(ctx: FieldContext) -> dict[int, int]:
@@ -246,7 +238,7 @@ def compute_table(ctx: FieldContext) -> CyclotomyTable:
     else:
         typecode = _code_typecode(d)
         tally = Counter()
-        for _, coded in _coded_chunks(ctx):
+        for coded in _coded_chunks(ctx):
             tally.update(memoryview(coded).cast(typecode))
     codes = sorted(tally)
     counts = list(map(tally.__getitem__, codes))
@@ -271,16 +263,16 @@ class CheckResult:
 
 
 def verify_identities(table: CyclotomyTable) -> tuple[CheckResult, ...]:
-    """Check row sums, the total count and the classical relations.
+    """Check the row sums and the classical relations.
 
     Row k must sum to f - 1 when k is the class of -1 and to f otherwise,
-    and the full table must hold p - 2 incidences.  The relations
+    so the full table holds d*f - 1 = p - 2 incidences.  The relations
     (Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2) hold on
     every table: (i, j) = (-i, j - i), and (i, j) = (j, i) for even f or
     (i, j) = (j + d/2, i + d/2) for odd f.  Each relation maps the table
     onto itself, so it is checked entry by entry on one dict of the
     nonzero entries.  Every check is O(nnz).  One CheckResult per check
-    comes back, in the order row-sums, total-count, reflection, symmetry.
+    comes back, in the order row-sums, reflection, symmetry.
     Violations are reported, never raised: these identities are theorems,
     so a failure means the table was built incorrectly.
     """
@@ -297,15 +289,6 @@ def verify_identities(table: CyclotomyTable) -> tuple[CheckResult, ...]:
             name="row-sums",
             passed=not bad_rows,
             detail="" if not bad_rows else f"rows with wrong sum: {bad_rows}",
-        )
-    )
-
-    total = sum(table.row_sums)
-    checks.append(
-        CheckResult(
-            name="total-count",
-            passed=total == d * f - 1,
-            detail="" if total == d * f - 1 else f"total {total} != {d * f - 1}",
         )
     )
 
@@ -360,60 +343,40 @@ class Witness:
     length: int
 
 
-def upper_bound_witnesses(
-    table: CyclotomyTable,
-) -> tuple[list[Witness], list[tuple[int, int]]]:
-    """Witnesses along solve's walks to the class of -1, and their bare edges.
+def field_witnesses(ctx: FieldContext) -> list[Witness]:
+    """A witness of least length for every class, from the class array alone.
 
-    Class alpha sits at v = alpha + theta, as in solve, and steps first to
-    u = steps[v] of table.walks_to_theta.  One incidence x with class(x) = v
-    and class(x + 1) = u is found per tree edge, all in one pass over the
-    codes of compute_table (_coded_chunks) that stops once every edge has
-    its x.  If b, the witness of class u - theta, is a sum of k powers, then
-    y = -b / (x + 1) is a d-th power and b + y = b * x / (x + 1) lies in
-    class v - theta.  So from b = 1 in class 0 each class reached gets a
-    witness of length one more than its walk, parents first, with one
-    modular inverse each.  A bare tree edge v -> u, a table entry that no x
-    supports, is listed, and the classes whose walks cross it get no
-    witness.  The witnesses prove upper bounds only (check_witnesses).
+    The sums of k nonzero d-th powers, 0 left out, form a union of power
+    classes (Dickson, 1935).  So if b in class c is a sum of k powers, so
+    is every element of class c, and b * (1 + w), for each w of class -c
+    other than -1, is a sum of k + 1 powers: b plus the power y = b * w, in
+    class c + class(1 + w).  From b = y = 1 in class 0, each class reached
+    is expanded once, in breadth-first order, through the f elements
+    w = omega^-c * omega^(d*u), and each class keeps the first witness that
+    reaches it; the search stops once every class has one.  Its lengths are
+    therefore the least ones, found without the table, and it reads at
+    most d*f = p - 1 classes.  The witnesses prove upper bounds only
+    (check_witnesses).
     """
-    ctx = table.ctx
-    p, d, theta = ctx.p, ctx.d, ctx.theta
-    lengths, steps = table.walks_to_theta
-    # every v reached, by walk length: parents first
-    order = sorted((v for v in range(d) if lengths[v] is not None),
-                   key=lengths.__getitem__)
-
-    wanted = {steps[v] * d + v: v for v in order[1:]}  # code of edge v -> u
-    typecode = _code_typecode(d)
-    incidence: dict[int, int] = {}  # class v -> x on its tree edge
-    for lo, coded in _coded_chunks(ctx):
-        if not wanted:
-            break
-        lanes = memoryview(coded).cast(typecode)
-        # one x per code in the chunk (the last), found at C speed
-        where = dict(zip(lanes, range(lo, lo + len(lanes))))
-        for code in wanted.keys() & where.keys():
-            incidence[wanted.pop(code)] = where[code]
-
-    root = Witness(j=0, parent=None, y=1, b=1, length=1)
-    witnesses, by_class = [root], {theta: root}
-    missing = []
-    for v in order[1:]:
-        u = steps[v]
-        top = by_class.get(u)
-        if top is None:  # below an edge with no incidence
-            continue
-        x = incidence.get(v)
-        if x is None:
-            missing.append((v, u))
-            continue
-        y = -top.b * pow(x + 1, -1, p) % p
-        witness = Witness(j=(v - theta) % d, parent=top.j, y=y,
-                          b=(top.b + y) % p, length=top.length + 1)
-        witnesses.append(witness)
-        by_class[v] = witness
-    return witnesses, missing
+    p, d, f = ctx.p, ctx.d, ctx.f
+    classes = ctx.index_table
+    step, down = pow(ctx.omega, d, p), pow(ctx.omega, -1, p)
+    witnesses = [Witness(j=0, parent=None, y=1, b=1, length=1)]
+    reached = [True] + [False] * (d - 1)
+    for top in witnesses:  # grows as it is read: breadth-first
+        w = pow(down, top.j, p)
+        for _ in range(f):
+            if w != p - 1:
+                j = (top.j + classes[w + 1]) % d
+                if not reached[j]:
+                    reached[j] = True
+                    y = top.b * w % p
+                    witnesses.append(Witness(j=j, parent=top.j, y=y,
+                                             b=(top.b + y) % p, length=top.length + 1))
+                    if len(witnesses) == d:
+                        return witnesses
+            w = w * step % p
+    return witnesses
 
 
 def check_witnesses(

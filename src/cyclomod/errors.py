@@ -87,7 +87,3 @@ class FormulaMismatch(CyclomodError):
 
 class WrongResidueClass(InputError):
     """The prime is not in the residue class the closed form requires."""
-
-
-class Unrepresentable(CyclomodError):
-    """Sumset growth stabilized without reaching the target residue."""

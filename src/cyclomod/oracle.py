@@ -2,10 +2,9 @@
 
 Representation counts come from a dynamic program over residues (row k+1 is
 the cyclic convolution of row k with the d-th power indicator), and minimal
-representation lengths from direct sumset growth: per residue (brute_s, the
-reference) or for every class in one growth (sumset_lengths).  Nothing here
-touches cyclotomic numbers, so these results can check the exact solvers'
-answers; they never supply one.
+representation lengths from one direct sumset growth for every class
+(sumset_lengths).  Nothing here touches cyclotomic numbers, so these
+results can check the exact solvers' answers; they never supply one.
 
 Sumsets are held as p-bit integers (bit a set iff residue a is reachable);
 adding the power set is an OR of cyclic shifts.  That is still the naive
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ScaleGuard, Unrepresentable, ZeroArgument
+from .errors import ScaleGuard
 from .ffield import FieldContext
 
 #: dp_counts is a test fixture, not a production path; keep it small.
@@ -91,42 +90,14 @@ def dp_counts(ctx: FieldContext, k_max: int) -> CountTable:
     return CountTable(p=p, k_max=k_max, counts=tuple(rows))
 
 
-def brute_s(ctx: FieldContext, a: int) -> int:
-    """Least k such that a is a sum of k nonzero d-th powers.
-
-    Grows S_1 = powers, S_{k+1} = S_k + S_1 until a appears.  Growth is
-    cyclic: a step ORs together the shifts of the current reachable set by
-    each power.  Gives up after p - 1 steps, by which point the sets have
-    stabilized.
-    """
-    p = ctx.p
-    a %= p
-    if a == 0:
-        raise ZeroArgument(a)
-    base = sorted(power_set(ctx))
-    full = (1 << p) - 1
-    cur = 0
-    for s in base:
-        cur |= 1 << s
-    target = 1 << a
-    for k in range(1, p):
-        if cur & target:
-            return k
-        nxt = 0
-        for s in base:
-            nxt |= (cur << s) | (cur >> (p - s))
-        cur = nxt & full
-    raise Unrepresentable(f"residue {a} not reached mod {p}")
-
-
 def sumset_lengths(ctx: FieldContext) -> tuple[int | None, ...]:
     """Every class's least k from one growth of a p-bit sumset of the powers.
 
     R_k, 0 and the sums of at most k powers, grows from R_0 = {0} as
     R_{k+1} = R_k | (R_k + powers).  Every element of a class needs the same
     k, so class alpha is read at omega^alpha mod p, and one growth answers
-    all d classes where brute_s grows one per residue.  It stops once every
-    class is reached, or once R_k stops growing, leaving the rest None.
+    all d classes where a per-residue growth answers one.  It stops once
+    every class is reached, or once R_k stops growing, leaving the rest None.
     """
     p, powers = ctx.p, power_set(ctx)
     todo = {ctx.element_of_class(alpha): alpha for alpha in range(ctx.d)}

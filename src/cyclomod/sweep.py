@@ -25,9 +25,10 @@ additionally runs full_checks: the classical table identities and
 relations, which see a table that both routes read wrong; one
 brute-force sumset growth (which never supplies an answer) for the lower
 bounds; for the upper bounds, an explicit sum of per_class_s[alpha]
-powers in every class alpha, checked from p, d and omega alone; the
-low-order count identities, which grow the recurrence rows to k = 3 at
-every f; and (for d = 3 or 4) the closed forms and the formula tables.
+powers in every class alpha, built from the power-class array without
+the table and checked from p, d and omega alone; the low-order count
+identities, which grow the recurrence rows to k = 3 at every f; and (for
+d = 3 or 4) the closed forms and the formula tables.
 Both levels price only the table before the field; the rows are charged
 as they grow (waring.NSequence).
 """
@@ -170,13 +171,14 @@ def prime_results(
 def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     """The verification battery behind verify_level=full and the verify command.
 
-    table-identities runs the row sums, the total count and the classical
-    relations on the table (cyclotomy.verify_identities).  oracle-agreement
-    compares every class with one brute-force sumset growth, which gives
-    the lower bounds.  witness-upper-bounds builds an element of each class
-    as a sum of exactly per_class_s[alpha] powers along the walks that
-    solve answered with, the breadth-first tree cached on the table, and
-    checks it from p, d and omega alone (cyclotomy.check_witnesses).
+    table-identities runs the row sums and the classical relations on the
+    table (cyclotomy.verify_identities).  oracle-agreement compares every
+    class with one brute-force sumset growth, which gives the lower
+    bounds.  witness-upper-bounds builds, from the power-class array and
+    not the table, an element of each class as a sum of least many powers
+    (cyclotomy.field_witnesses), and checks from p, d and omega alone that
+    each is a sum of exactly per_class_s[alpha] powers
+    (cyclotomy.check_witnesses), which gives the upper bounds.
     low-order-count-identities checks rows k = 2 and 3 of the recurrence
     against walks on the table, growing them when solve did not.  For
     d = 3 or 4, closed-form-agreement compares the closed forms and
@@ -207,10 +209,8 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
         )
     )
 
-    witnesses, missing = cyclotomy.upper_bound_witnesses(table)
-    problems = [f"tree edge {c} -> {j} has no incidence" for c, j in missing]
-    problems += cyclotomy.check_witnesses(
-        p, d, ctx.omega, witnesses, solution.per_class_s)
+    problems = cyclotomy.check_witnesses(
+        p, d, ctx.omega, cyclotomy.field_witnesses(ctx), solution.per_class_s)
     checks.append(
         CheckResult(
             name="witness-upper-bounds",

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import closedform
-from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table
+from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table, walks
 from .errors import InternalDisagreement, SanityFailure, ScaleGuard
 from .ffield import FieldContext
 
@@ -227,9 +227,8 @@ def solve(ctx: FieldContext) -> WaringSolution:
     seq = NSequence(table)
     p, d, theta = ctx.p, ctx.d, ctx.theta
     # the walks and the recurrence read class alpha at alpha + theta
-    walks, _ = table.walks_to_theta
-    by_walks = tuple(None if w is None else w + 1
-                     for w in walks[theta:] + walks[:theta])
+    dist = walks(table.columns, theta)
+    by_walks = tuple(None if w is None else w + 1 for w in dist[theta:] + dist[:theta])
     if ctx.f <= 2:
         route, by_route = "closed-form", closedform.small_f_lengths(p, d, ctx.omega)
     else:

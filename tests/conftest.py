@@ -3,7 +3,8 @@
 Everything here is deliberately naive and self-contained so it can
 arbitrate against the production code paths: the power classes come from
 a walk over every power of omega, the cyclotomic table from the literal
-definitional double loop and from a per-residue Counter tally, the rows
+definitional double loop and from a per-residue Counter tally, the least
+length of one residue from its own sumset growth (brute_s), the rows
 n(k, v) from the dense recurrence, reachability from literal boolean
 matrix powers, the count identities from integer matrix powers of the
 table itself, the class series I_j from its defining Fraction recurrence
@@ -23,7 +24,7 @@ import pytest
 
 from cyclomod import make_context
 from cyclomod.cyclotomy import CyclotomyTable
-from cyclomod.errors import SanityFailure, ScaleGuard
+from cyclomod.errors import SanityFailure, ScaleGuard, ZeroArgument
 from cyclomod.ffield import FieldContext
 from cyclomod.periods import PeriodPolynomial
 from cyclomod.series import RationalSeries
@@ -140,6 +141,33 @@ def witness_problems(p: int, d: int, omega: int, witnesses, per_class_s) -> list
     if len(done) != d:
         problems.append(sorted(set(range(d)) - set(done)))
     return problems
+
+
+def brute_s(ctx: FieldContext, a: int) -> int:
+    """Least k such that a is a sum of k nonzero d-th powers.
+
+    Grows S_1 = powers, S_{k+1} = S_k + S_1 as p-bit integers until a
+    appears: a step ORs together the cyclic shifts of the reachable set by
+    each power omega^(d*u).  Gives up after p - 1 steps, by which point
+    the sets have stabilized.
+    """
+    p, d = ctx.p, ctx.d
+    a %= p
+    if a == 0:
+        raise ZeroArgument(a)
+    powers = sorted({pow(ctx.omega, d * u, p) for u in range(ctx.f)})
+    full = (1 << p) - 1
+    cur = 0
+    for s in powers:
+        cur |= 1 << s
+    for k in range(1, p):
+        if cur >> a & 1:
+            return k
+        nxt = 0
+        for s in powers:
+            nxt |= (cur << s) | (cur >> (p - s))
+        cur = nxt & full
+    raise AssertionError(f"residue {a} not reached mod {p}")
 
 
 def definitional_cyclotomic_counts(ctx: FieldContext) -> list[list[int]]:

@@ -14,7 +14,6 @@ import json
 import time
 
 from cyclomod import (
-    brute_s,
     closed_g,
     compute_table,
     diophantine_witness,
@@ -29,11 +28,12 @@ from cyclomod import (
     solve,
 )
 from cyclomod.closedform import KIND_D3, KIND_D4
+from cyclomod.cyclotomy import walks
 from cyclomod.sweep import admissible_orders, run_sweep
 from cyclomod.waring import NSequence
 
 from conftest import (
-    factorial_denominator_violations, fraction_i_series, reciprocal_check,
+    brute_s, factorial_denominator_violations, fraction_i_series, reciprocal_check,
 )
 
 
@@ -87,11 +87,11 @@ def test_three_way_solver_equivalence():
             table = compute_table(ctx)
             seq = NSequence(table)
             seq.extend(d, until_covered=True)
-            walks, _ = table.walks_to_theta
+            dist = walks(table.columns, ctx.theta)
             for alpha in range(d):
                 v = (alpha + ctx.theta) % d
                 s1 = seq.first_k[v]
-                s2 = None if walks[v] is None else walks[v] + 1
+                s2 = None if dist[v] is None else dist[v] + 1
                 s3 = brute_s(ctx, ctx.element_of_class(alpha))
                 if not s1 == s2 == s3:
                     bad.append((p, d, alpha, s1, s2, s3))

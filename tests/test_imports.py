@@ -30,10 +30,10 @@ NOT_AT_START = (
 )
 
 PUBLIC = (
-    "brute_s", "closed_g", "compute_table", "diophantine_witness", "dp_counts",
-    "i_series", "log_derivative_ord", "make_context", "period_polynomial",
-    "power_set", "power_sums", "primes_in_range", "represent", "resolve_sign",
-    "solve", "verify_identities",
+    "closed_g", "compute_table", "diophantine_witness", "dp_counts", "i_series",
+    "log_derivative_ord", "make_context", "period_polynomial", "power_set",
+    "power_sums", "primes_in_range", "represent", "resolve_sign", "solve",
+    "verify_identities",
 )
 
 # The modules each import adds over what the interpreter loaded before it,

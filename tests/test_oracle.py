@@ -1,7 +1,6 @@
 import pytest
 
 from cyclomod import (
-    brute_s,
     compute_table,
     dp_counts,
     make_context,
@@ -11,6 +10,8 @@ from cyclomod import (
 from cyclomod.errors import ScaleGuard, ZeroArgument
 from cyclomod.sweep import admissible_orders
 from cyclomod.waring import NSequence
+
+from conftest import brute_s
 
 
 def test_power_set_examples():

@@ -584,16 +584,16 @@ def test_full_checks_fail_a_witness_that_does_not_check(monkeypatch):
     # the classes below it go unproved too
     import cyclomod.cyclotomy as cyclotomy_module
 
-    real = cyclotomy_module.upper_bound_witnesses
+    real = cyclotomy_module.field_witnesses
 
-    def tampered(table):
-        witnesses, missing = real(table)
+    def tampered(ctx):
+        witnesses = real(ctx)
         w = witnesses[1]
-        witnesses[1] = replace(w, y=w.y * table.ctx.omega % table.ctx.p)
-        return witnesses, missing
+        witnesses[1] = replace(w, y=w.y * ctx.omega % ctx.p)
+        return witnesses
 
     solution = solve(make_context(13, 3))
-    monkeypatch.setattr(cyclotomy_module, "upper_bound_witnesses", tampered)
+    monkeypatch.setattr(cyclotomy_module, "field_witnesses", tampered)
     failed = [c for c in full_checks(solution) if not c.passed]
     assert [c.name for c in failed] == ["witness-upper-bounds"]
     assert failed[0].detail == (
@@ -602,11 +602,12 @@ def test_full_checks_fail_a_witness_that_does_not_check(monkeypatch):
     )
 
 
-def test_a_spurious_incidence_on_a_tree_edge_fails_the_witnesses(monkeypatch, capsys):
+def test_a_spurious_incidence_makes_solve_disagree_with_the_field_witnesses(
+        monkeypatch, capsys):
     # (37, 6) has theta = 0 and no incidence at (2, 0); a rectangle move
-    # that puts one there (and keeps every row and column sum) makes
-    # 2 -> 0 the first step of class 2's walk, and no x in class 2 has
-    # 1 + x in class 0
+    # that puts one there (and keeps every row and column sum) gives class 2
+    # a walk of one step, so solve answers 2 for it, while the witnesses,
+    # built from the class array and not the table, need 3 powers
     import cyclomod.waring as waring_module
 
     ctx = make_context(37, 6)
@@ -619,10 +620,13 @@ def test_a_spurious_incidence_on_a_tree_edge_fails_the_witnesses(monkeypatch, ca
     doctored = table_from_counts(ctx, counts)
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
     assert main(["verify", "-p", "37", "-d", "6"]) == 1
-    assert (
-        "FAIL (p=37, d=6) witness-upper-bounds: tree edge 2 -> 0 has no "
-        "incidence; no proved witness for classes [2]"
-    ) in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert ("FAIL (p=37, d=6) witness-upper-bounds: class 2: 3 powers, not s = 2"
+            in lines)
+    # the table's own checks and the oracle see the move too
+    assert [line.split()[3] for line in lines if line.startswith("FAIL")] == [
+        "table-identities:", "oracle-agreement:", "witness-upper-bounds:"]
+    assert lines[-1] == "1/4 checks passed"
 
 
 def test_sweep_full_reports_a_failing_check_against_its_key(monkeypatch, capsys):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from cyclomod import (
-    brute_s,
     compute_table,
     dp_counts,
     make_context,
@@ -11,14 +10,14 @@ from cyclomod import (
     solve,
 )
 from cyclomod.closedform import small_f_lengths
-from cyclomod.cyclotomy import CyclotomyTable
+from cyclomod.cyclotomy import walks
 from cyclomod.errors import InternalDisagreement, SanityFailure, ScaleGuard
 from cyclomod.oracle import sumset_lengths
 from cyclomod.sweep import admissible_orders
 from cyclomod.waring import NSequence
 
 from conftest import (
-    count_matrix_powers, dense_rows, s_by_matrix_powers, table_from_counts,
+    brute_s, count_matrix_powers, dense_rows, s_by_matrix_powers, table_from_counts,
 )
 
 
@@ -39,8 +38,8 @@ def by_recurrence(table):
 def by_walks(table):
     """One more than each class's shortest walk from alpha + theta to theta."""
     ctx = table.ctx
-    walks, _ = table.walks_to_theta
-    return [walks[(alpha + ctx.theta) % ctx.d] + 1 for alpha in range(ctx.d)]
+    dist = walks(table.columns, ctx.theta)
+    return [dist[(alpha + ctx.theta) % ctx.d] + 1 for alpha in range(ctx.d)]
 
 
 def representations(seq, a, k):
@@ -294,7 +293,7 @@ def test_unreachable_raises_on_doctored_table():
             for row in table.counts
         ),
     )
-    assert doctored.walks_to_theta == ((0, None, None), (None, None, None))
+    assert walks(doctored.columns, table.ctx.theta) == (0, None, None)
 
 
 def test_solve_examples():
@@ -317,13 +316,13 @@ def test_solve_per_class_bounds():
 
 
 def long_walks(monkeypatch):
-    """Walks of 98 steps from every class but theta itself."""
+    """Walks of 98 steps from every class but theta itself, as solve reads them."""
+    import cyclomod.waring as waring_module
+
     monkeypatch.setattr(
-        CyclotomyTable,
-        "walks_to_theta",
-        property(lambda table: (tuple(0 if v == table.ctx.theta else 98
-                                      for v in range(table.ctx.d)),
-                                (None,) * table.ctx.d)),
+        waring_module, "walks",
+        lambda columns, theta: tuple(0 if v == theta else 98
+                                     for v in range(len(columns))),
     )
 
 
