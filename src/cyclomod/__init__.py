@@ -3,14 +3,15 @@
 The package computes, for an odd prime p and an order d dividing p - 1, the
 minimal number of nonzero d-th powers needed to represent each power class
 mod p, and the maximum of those counts.  solve() reports an answer only
-when two independent exact routes agree on every class.  One is always the
-shortest walks on the class digraph, read off the cyclotomic numbers.  At
-f = (p-1)/d >= 3 the other is an integer recurrence over the same numbers;
-at f <= 2 it is a closed form proved from the powers being +-1, which
-reads neither the table nor the class array.  A class on which either
-route is silent fails like a disagreement.  A brute-force oracle only
-checks: the full checks compare it with every class, and it never
-supplies an answer.
+when two independent exact routes agree on every class.  One is always a
+breadth-first walk over the power classes, which reads no table.  At
+f = (p-1)/d >= 3 the other is the shortest walks on the class digraph,
+read off the cyclotomic numbers; at f <= 2 it is a closed form proved
+from the powers being +-1, which reads neither the table nor the class
+array.  A class on which either route is silent fails like a
+disagreement.  The paper's integer recurrence over the cyclotomic numbers
+and a brute-force oracle only check: the full checks compare each with
+every class, and neither supplies an answer.
 
 Importing the package loads none of its modules.  Each name of __all__
 is resolved from its module on first use (PEP 562), so a command loads

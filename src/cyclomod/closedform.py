@@ -19,7 +19,7 @@ witness for one counted table.
 
 At f = (p - 1)/d <= 2 the powers are +-1 and every class's answer has a
 closed form of its own, small_f_lengths, which solve compares with the
-walks on the class digraph.
+coset walk over the power classes, so no table is counted there.
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ reversed edges, and the classical checks read them once and return one
 CheckResult each; the row view and the dense d x d matrix are derived only
 when a printer, the order-3 and order-4 closed forms or a test asks for
 them.  One breadth-first search toward the class of -1 gives every
-class's walk length, which solve reads.  The upper-bound witnesses, explicit
-sums of powers in every class that check_witnesses proves from p, d and
-omega alone, come from the power-class array, not the table
-(field_witnesses).
+class's walk length, which solve compares at f >= 3 with the coset walk:
+a breadth-first walk over the power-class array itself, which reads no
+table and records every class's least length and how it was reached
+(coset_walk).  The upper-bound witnesses, explicit sums of powers in
+every class that check_witnesses proves from p, d and omega alone, follow
+that record (field_witnesses), so full verification reuses solve's walk.
 The definitional double loop and the per-residue tally are kept in the
 test suite as independent oracles.
 """
@@ -343,40 +345,83 @@ class Witness:
     length: int
 
 
-def field_witnesses(ctx: FieldContext) -> list[Witness]:
-    """A witness of least length for every class, from the class array alone.
+@dataclass(frozen=True)
+class CosetWalk:
+    """Every class's least number of nonzero d-th powers, with how it was reached.
+
+    order lists the classes in the order the walk reached them, from class
+    0.  A class j it reached has its least length lengths[j] and an element
+    b[j] that is a sum of that many powers: 1 in class 0, and below it
+    b[parent[j]] plus one power.  A class it never reached has length,
+    parent and element None; on a proved class array there is none.
+    """
+
+    order: tuple[int, ...]
+    lengths: tuple[int | None, ...]
+    parent: tuple[int | None, ...] = field(repr=False)
+    b: tuple[int | None, ...] = field(repr=False)
+
+
+def coset_walk(ctx: FieldContext) -> CosetWalk:
+    """Walk the power classes breadth-first from class 0, reading no table.
 
     The sums of k nonzero d-th powers, 0 left out, form a union of power
     classes (Dickson, 1935).  So if b in class c is a sum of k powers, so
-    is every element of class c, and b * (1 + w), for each w of class -c
-    other than -1, is a sum of k + 1 powers: b plus the power y = b * w, in
-    class c + class(1 + w).  From b = y = 1 in class 0, each class reached
-    is expanded once, in breadth-first order, through the f elements
-    w = omega^-c * omega^(d*u), and each class keeps the first witness that
-    reaches it; the search stops once every class has one.  Its lengths are
-    therefore the least ones, found without the table, and it reads at
-    most d*f = p - 1 classes.  The witnesses prove upper bounds only
-    (check_witnesses).
+    is every element of class c, each of them b * h' for a power h', and
+    the classes that k + 1 powers reach from class c are those of
+    b * h' + h = h' * (b + h / h'), that is, of b + h for the f powers h,
+    with b + h != 0.  From b = 1 in class 0, each class reached is
+    expanded once, in breadth-first order, through its own b and the
+    powers h = omega^(d*u), each one multiplication from the last, and
+    each class keeps the first element that reaches it; the walk stops
+    once every class is reached.  Its lengths are therefore the least
+    ones, and it reads at most d*f = p - 1 classes and takes no power per
+    class.
     """
     p, d, f = ctx.p, ctx.d, ctx.f
     classes = ctx.index_table
-    step, down = pow(ctx.omega, d, p), pow(ctx.omega, -1, p)
-    witnesses = [Witness(j=0, parent=None, y=1, b=1, length=1)]
-    reached = [True] + [False] * (d - 1)
-    for top in witnesses:  # grows as it is read: breadth-first
-        w = pow(down, top.j, p)
+    step = pow(ctx.omega, d, p)
+    lengths: list[int | None] = [None] * d
+    parent: list[int | None] = [None] * d
+    element: list[int | None] = [None] * d
+    lengths[0], element[0] = 1, 1
+    order = [0]
+    unreached = d - 1
+    for c in order:  # grows as it is read: breadth-first
+        if not unreached:
+            break
+        length, b, h = lengths[c] + 1, element[c], 1
         for _ in range(f):
-            if w != p - 1:
-                j = (top.j + classes[w + 1]) % d
-                if not reached[j]:
-                    reached[j] = True
-                    y = top.b * w % p
-                    witnesses.append(Witness(j=j, parent=top.j, y=y,
-                                             b=(top.b + y) % p, length=top.length + 1))
-                    if len(witnesses) == d:
-                        return witnesses
-            w = w * step % p
-    return witnesses
+            x = b + h  # in 2 .. 2p - 2, and p is 0
+            if x != p:
+                if x > p:
+                    x -= p
+                j = classes[x]
+                if lengths[j] is None:
+                    lengths[j], parent[j], element[j] = length, c, x
+                    order.append(j)
+                    unreached -= 1
+                    if not unreached:
+                        break
+            h = h * step % p
+    return CosetWalk(tuple(order), tuple(lengths), tuple(parent), tuple(element))
+
+
+def field_witnesses(ctx: FieldContext, walk: CosetWalk) -> list[Witness]:
+    """A witness of least length for every class the coset walk reached.
+
+    Each class's witness is the walk's element, in the order the walk
+    reached them: class 0 has b = y = 1, and the class j reached from
+    class c has y = b - b_c, the power the walk added.  The witnesses
+    prove upper bounds only (check_witnesses).
+    """
+    p, b, parent = ctx.p, walk.b, walk.parent
+    return [
+        Witness(j=j, parent=parent[j],
+                y=b[j] if parent[j] is None else (b[j] - b[parent[j]]) % p,
+                b=b[j], length=walk.lengths[j])
+        for j in walk.order
+    ]
 
 
 def check_witnesses(

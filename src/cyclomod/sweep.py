@@ -18,19 +18,22 @@ context; the shared field's build time is added to the first record of
 the prime answered from it.
 
 verify_level "fast" compares solve's two exact routes, as solve always
-does: the walks on the class digraph against the n(k, v) recurrence at
-f >= 3, and against the +-1 closed form at f <= 2.  A record is emitted
-only when they agree on every class; otherwise the key fails.  "full"
-additionally runs full_checks: the classical table identities and
-relations, which see a table that both routes read wrong; one
-brute-force sumset growth (which never supplies an answer) for the lower
-bounds; for the upper bounds, an explicit sum of per_class_s[alpha]
-powers in every class alpha, built from the power-class array without
-the table and checked from p, d and omega alone; the low-order count
-identities, which grow the recurrence rows to k = 3 at every f; and (for
-d = 3 or 4) the closed forms and the formula tables.
-Both levels price only the table before the field; the rows are charged
-as they grow (waring.NSequence).
+does: the coset walk over the power classes, which reads no table,
+against the +-1 closed form at f <= 2, where no table is counted, and
+against the walks on the class digraph at f >= 3.  A record is emitted
+only when they agree on every class; otherwise the key fails.  No
+recurrence row is grown.  "full" additionally runs full_checks: the
+classical table identities and relations, which see a table that the
+walks read wrong; one brute-force sumset growth (which never supplies an
+answer) for the lower bounds; for the upper bounds, an explicit sum of
+per_class_s[alpha] powers in every class alpha, built along solve's coset
+walk and checked from p, d and omega alone; at f >= 3 the n(k, v)
+recurrence, grown until every class has entered its support, against
+per_class_s; the low-order count identities, which grow the rows to
+k = 3 at every f; and (for d = 3 or 4) the closed forms and the formula
+tables.
+Both levels price the table before the field, at every f; the rows are
+charged as they grow (waring.NSequence).
 """
 
 from __future__ import annotations
@@ -174,19 +177,20 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     table-identities runs the row sums and the classical relations on the
     table (cyclotomy.verify_identities).  oracle-agreement compares every
     class with one brute-force sumset growth, which gives the lower
-    bounds.  witness-upper-bounds builds, from the power-class array and
-    not the table, an element of each class as a sum of least many powers
+    bounds.  witness-upper-bounds builds, along solve's coset walk and not
+    the table, an element of each class as a sum of least many powers
     (cyclotomy.field_witnesses), and checks from p, d and omega alone that
     each is a sum of exactly per_class_s[alpha] powers
-    (cyclotomy.check_witnesses), which gives the upper bounds.
-    low-order-count-identities checks rows k = 2 and 3 of the recurrence
-    against walks on the table, growing them when solve did not.  For
-    d = 3 or 4, closed-form-agreement compares the closed forms and
-    Dickson's formula tables.
+    (cyclotomy.check_witnesses), which gives the upper bounds.  At f >= 3,
+    recurrence-agreement grows the n(k, v) rows until every class has
+    entered the support, or to k = d, and compares their first-k vector
+    whole with per_class_s.  low-order-count-identities checks rows k = 2
+    and 3 of the recurrence against walks on the table, growing them when
+    no check before it did.  For d = 3 or 4, closed-form-agreement
+    compares the closed forms and Dickson's formula tables.
     """
     checks: list[CheckResult] = []
-    seq = solution.seq
-    ctx, table = seq.ctx, seq.table
+    ctx, table = solution.ctx, solution.table
     p, d, f, theta = ctx.p, ctx.d, ctx.f, ctx.theta
 
     failed = [c for c in cyclotomy.verify_identities(table) if not c.passed]
@@ -210,7 +214,8 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
     )
 
     problems = cyclotomy.check_witnesses(
-        p, d, ctx.omega, cyclotomy.field_witnesses(ctx), solution.per_class_s)
+        p, d, ctx.omega, cyclotomy.field_witnesses(ctx, solution.walk),
+        solution.per_class_s)
     checks.append(
         CheckResult(
             name="witness-upper-bounds",
@@ -218,6 +223,21 @@ def full_checks(solution: waring.WaringSolution) -> list[CheckResult]:
             detail="; ".join(problems),
         )
     )
+
+    seq = solution.seq
+    if f >= 3:
+        # the rows read class alpha at alpha + theta
+        seq.extend(d, until_covered=True)
+        first = seq.first_k[theta:] + seq.first_k[:theta]
+        off = [(alpha, s, k) for alpha, (s, k)
+               in enumerate(zip(solution.per_class_s, first)) if s != k]
+        checks.append(
+            CheckResult(
+                name="recurrence-agreement",
+                passed=not off,
+                detail="" if not off else f"classes off: {off}",
+            )
+        )
 
     # m(2, v) = p * (v, theta), and m(3, v) = p * sum_i (v, i) * (i, theta)
     # plus f * m(1, v) when theta = 0, read off the columns in O(nnz)

@@ -1,10 +1,22 @@
 """Exact solvers for the minimal number of d-th powers representing a class.
 
-Everything is driven by the integer sequences n(k, v), indexed by power
-class v, which encode p * N(k, a) - f^k where N(k, a) counts ordered
-representations of a by k nonzero d-th powers and v is the class of -a.
-They start at n(0, v) = -1 and n(1, v) = p*[v == theta] - f and obey the
-coupled linear recurrence
+solve() answers every power class only where two independent exact routes
+agree.  The first is the coset walk (cyclotomy.coset_walk): the sums of k
+nonzero d-th powers, 0 left out, form a union of power classes (Dickson,
+1935), so one breadth-first walk over the power-class array from class 0
+gives every class's least length without the table.  The second depends
+on f = (p-1)/d.  At f <= 2 the powers are +-1, and
+closedform.small_f_lengths proves every answer from p and omega alone, so
+no table is counted.  At f >= 3 it is the digraph on classes with an edge
+i -> j wherever the cyclotomic number (i, j) != 0: the minimal length of
+class alpha is one more than the shortest walk from alpha + theta to
+theta, read off the table's columns (cyclotomy.walks).
+
+The paper's route runs on demand.  It is driven by the integer sequences
+n(k, v), indexed by power class v, which encode p * N(k, a) - f^k where
+N(k, a) counts ordered representations of a by k nonzero d-th powers and
+v is the class of -a.  They start at n(0, v) = -1 and
+n(1, v) = p*[v == theta] - f and obey the coupled linear recurrence
 
     n(k+1, v) = sum_l (v, l) * n(k, l) + f * [v == theta] * n(k-1, 0)
 
@@ -16,31 +28,30 @@ same recurrence, and so does the shift m(k, v) = f^k + n(k, v) = p * N(k, a),
 from m(0, v) = 0 and m(1, v) = p*[v == theta].  m(k, .) is zero on every
 class k powers cannot reach yet (one entry per row at f = 1), so NSequence
 stores only the support of each m(k, .), propagates it, and records in the
-same pass the first k at which each class enters it: the first route's
-answer for class alpha is first_k[alpha + theta].
+same pass the first k at which each class enters it: the recurrence's
+answer for class alpha is first_k[alpha + theta].  A WaringSolution counts
+the table and starts the rows only when they are first read: the full
+checks compare the first-k vector with solve's answer at f >= 3
+(sweep.full_checks), and period and series read n(k, v).  At f <= 2 the
+rows would run to k = g, which is p - 1 or (p - 1)/2, with values up to
+2^g at f = 2.
 
-A second, independent route reads the same answer off the digraph on
-classes with an edge i -> j wherever (i, j) != 0: the minimal length is one
-more than the shortest walk from alpha + theta to theta.  At f >= 3 solve()
-grows the rows once, until every class has entered the support, builds both
-routes' answers for every class, and refuses to return if they ever
-disagree or either leaves a class unanswered.  At f <= 2 the recurrence
-would run to k = g, which is p - 1 or (p - 1)/2 (with values up to 2^g at
-f = 2), so solve() compares the walks with the closed form
-closedform.small_f_lengths instead: the powers are +-1 there, and the
-answer is proved from p and omega alone, without the table.
-The rows still start, with the row-sum check, and grow on demand for the
-callers that read n(k, v).  Work is charged as it is done, not guessed from
-(p, d): compute_table refuses a table over MAX_CELLS before counting it, and
-NSequence refuses the row that would take its running budget past that cap.
+Work is charged as it is done, not guessed from (p, d): solve prices the
+table at every f and refuses one over MAX_CELLS before the walk,
+compute_table does the same before counting it, and NSequence refuses
+the row that would take its running budget past that cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import closedform
-from .cyclotomy import MAX_CELLS, CyclotomyTable, compute_table, walks
+from .cyclotomy import (
+    MAX_CELLS, CosetWalk, CyclotomyTable, coset_walk, compute_table,
+    require_table_fits, walks,
+)
 from .errors import InternalDisagreement, SanityFailure, ScaleGuard
 from .ffield import FieldContext
 
@@ -186,57 +197,68 @@ class NSequence:
 class WaringSolution:
     """Per-class minimal lengths and their maximum.
 
-    seq holds the recurrence rows; its table and context hang off it, so
-    checks reuse them instead of rebuilding, and it grows further rows on
-    demand (at f <= 2 solve leaves it at k_max = 1).  per_class_s is the
-    answer vector on which two exact routes agreed in full; method names
-    the route compared with the walks on the class digraph: "recurrence"
-    at f >= 3, "closed-form" at f <= 2.
+    per_class_s is the coset walk's answer vector, on which a second exact
+    route agreed in full; method names that route: "closed-form" at
+    f <= 2, "reachability" (the table's walks) at f >= 3.  walk is the
+    coset walk's record, from which the full checks build the witnesses.
+    table is the one solve counted at f >= 3 (counted), else counted on
+    first read; seq, the recurrence rows over it, starts on first read at
+    k_max = 1, with its row-sum check, and grows on demand.
     """
 
-    seq: NSequence
+    ctx: FieldContext
     per_class_s: tuple[int, ...]
     g: int
     method: str
+    walk: CosetWalk = field(repr=False)
+    counted: CyclotomyTable | None = field(default=None, repr=False)
 
-    @property
-    def ctx(self) -> FieldContext:
-        return self.seq.ctx
+    @cached_property
+    def table(self) -> CyclotomyTable:
+        return compute_table(self.ctx) if self.counted is None else self.counted
+
+    @cached_property
+    def seq(self) -> NSequence:
+        return NSequence(self.table)
 
 
 def solve(ctx: FieldContext) -> WaringSolution:
     """Solve all classes, answering only where two exact routes agree.
 
-    One breadth-first search over the table gives every walk length.  At
-    f >= 3 the recurrence grows once, until every class has entered the
-    support or k = d, and its first-k vector is the other route.  At f <= 2
-    the other route is the closed form (small_f_lengths), a proof from the
+    The d x d table is priced from (p, d) first (require_table_fits), at
+    every f, so a key whose table would not fit is refused before the
+    walk, whether or not the table is then counted.  The coset walk then
+    gives every class's least length from the class array.  At f <= 2 the
+    other route is the closed form (small_f_lengths), a proof from the
     powers being +-1 that reads neither the class array nor the table, and
-    no row past k = 1 is grown.  The two vectors are compared whole.  The
+    no table is counted.  At f >= 3 it is one breadth-first search over
+    the counted table's columns.  The two vectors are compared whole.  The
     first class on which they differ, or on which either route gives no
-    answer (None: a class the recurrence did not reach by k = d, or one
-    with no walk to theta), raises InternalDisagreement carrying both
-    values, keyed "recurrence" or "closed-form" and "reachability".  On a
-    true table neither route is ever silent, so that is the headline
-    correctness contract, not a recoverable condition.  Brute force only
-    checks the answers (sweep.full_checks); it never supplies one.
-    A table over MAX_CELLS is refused before it is counted (compute_table),
-    and rows past the running budget as they are reached (NSequence).
+    answer (None: a class the coset walk did not reach, or one with no
+    walk to theta), raises InternalDisagreement carrying both values,
+    keyed "coset-walk" and "closed-form" or "reachability".  On a true
+    field and table neither route is ever silent, so that is the headline
+    correctness contract, not a recoverable condition.  The recurrence
+    and brute force only check the answers (sweep.full_checks); they
+    never supply one.
     """
-    table = compute_table(ctx)
-    seq = NSequence(table)
     p, d, theta = ctx.p, ctx.d, ctx.theta
-    # the walks and the recurrence read class alpha at alpha + theta
-    dist = walks(table.columns, theta)
-    by_walks = tuple(None if w is None else w + 1 for w in dist[theta:] + dist[:theta])
+    require_table_fits(p, d)
+    walk = coset_walk(ctx)
+    table = None
     if ctx.f <= 2:
         route, by_route = "closed-form", closedform.small_f_lengths(p, d, ctx.omega)
     else:
-        seq.extend(d, until_covered=True)
-        first = tuple(seq.first_k)
-        route, by_route = "recurrence", first[theta:] + first[:theta]
-    if by_route != by_walks or None in by_walks:
-        alpha = next(a for a, w in enumerate(by_walks) if w is None or w != by_route[a])
+        table = compute_table(ctx)
+        # the walks read class alpha at alpha + theta
+        dist = walks(table.columns, theta)
+        route = "reachability"
+        by_route = tuple(None if w is None else w + 1
+                         for w in dist[theta:] + dist[:theta])
+    by_walk = walk.lengths
+    if by_walk != by_route or None in by_walk:
+        alpha = next(a for a, s in enumerate(by_walk) if s is None or s != by_route[a])
         raise InternalDisagreement(
-            alpha, {route: by_route[alpha], "reachability": by_walks[alpha]})
-    return WaringSolution(seq=seq, per_class_s=by_route, g=max(by_route), method=route)
+            alpha, {"coset-walk": by_walk[alpha], route: by_route[alpha]})
+    return WaringSolution(ctx=ctx, per_class_s=by_walk, g=max(by_walk),
+                          method=route, walk=walk, counted=table)

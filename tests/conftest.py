@@ -18,6 +18,7 @@ import cmath
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 from operator import add
 
 import pytest
@@ -198,6 +199,26 @@ def table_from_counts(ctx: FieldContext, counts) -> CyclotomyTable:
     d = len(counts)
     return CyclotomyTable(ctx=ctx, columns=tuple(
         tuple((i, counts[i][j]) for i in range(d) if counts[i][j]) for j in range(d)))
+
+
+def rectangle_moves(counts):
+    """Every rectangle move on dense counts, as (i, j, i2, j2, moved counts).
+
+    A move adds 1 at (i, j) and (i2, j2) and takes 1 from (i, j2) and
+    (i2, j), for i < i2 and j != j2 where both of those are nonzero, so
+    every row and column sum is kept and no count goes negative.
+    """
+    d = len(counts)
+    for i, i2 in combinations(range(d), 2):
+        for j, j2 in permutations(range(d), 2):
+            if not (counts[i][j2] and counts[i2][j]):
+                continue
+            moved = [list(row) for row in counts]
+            moved[i][j] += 1
+            moved[i2][j2] += 1
+            moved[i][j2] -= 1
+            moved[i2][j] -= 1
+            yield i, j, i2, j2, moved
 
 
 def dense_rows(table: CyclotomyTable, k_max: int) -> list[list[int]]:

@@ -226,7 +226,7 @@ def test_witnesses_check_from_the_field_alone_for_every_key_below_200():
         for d in admissible_orders(p):
             solution = solve(make_context(p, d))
             ctx = solution.ctx
-            witnesses = field_witnesses(ctx)
+            witnesses = field_witnesses(ctx, solution.walk)
             lengths = [None] * d
             for w in witnesses:
                 lengths[w.j] = w.length
@@ -259,7 +259,9 @@ def test_witnesses_check_against_solve_up_to_the_default_cap():
     def check(key):
         p, d = key
         ctx = make_context(p, d)
+        solution = solve(ctx)
         assert check_witnesses(
-            p, d, ctx.omega, field_witnesses(ctx), solve(ctx).per_class_s) == [], key
+            p, d, ctx.omega, field_witnesses(ctx, solution.walk),
+            solution.per_class_s) == [], key
 
     check()

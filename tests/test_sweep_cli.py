@@ -5,7 +5,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from itertools import combinations, permutations
 
 import pytest
 
@@ -29,7 +28,7 @@ from cyclomod.sweep import (
 )
 from cyclomod.waring import NSequence
 
-from conftest import table_from_counts
+from conftest import rectangle_moves, table_from_counts
 
 
 def test_admissible_orders():
@@ -586,8 +585,8 @@ def test_full_checks_fail_a_witness_that_does_not_check(monkeypatch):
 
     real = cyclotomy_module.field_witnesses
 
-    def tampered(ctx):
-        witnesses = real(ctx)
+    def tampered(ctx, walk):
+        witnesses = real(ctx, walk)
         w = witnesses[1]
         witnesses[1] = replace(w, y=w.y * ctx.omega % ctx.p)
         return witnesses
@@ -606,8 +605,9 @@ def test_a_spurious_incidence_makes_solve_disagree_with_the_field_witnesses(
         monkeypatch, capsys):
     # (37, 6) has theta = 0 and no incidence at (2, 0); a rectangle move
     # that puts one there (and keeps every row and column sum) gives class 2
-    # a walk of one step, so solve answers 2 for it, while the witnesses,
-    # built from the class array and not the table, need 3 powers
+    # a walk of one step on the table, while the coset walk, along which the
+    # witnesses are built from the class array and not the table, needs 3
+    # powers: solve refuses the key before any full check runs
     import cyclomod.waring as waring_module
 
     ctx = make_context(37, 6)
@@ -618,15 +618,23 @@ def test_a_spurious_incidence_makes_solve_disagree_with_the_field_witnesses(
     counts[0][0] -= 1
     counts[2][2] -= 1
     doctored = table_from_counts(ctx, counts)
+    solution = solve(ctx)
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
     assert main(["verify", "-p", "37", "-d", "6"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert ("FAIL (p=37, d=6) witness-upper-bounds: class 2: 3 powers, not s = 2"
-            in lines)
-    # the table's own checks and the oracle see the move too
-    assert [line.split()[3] for line in lines if line.startswith("FAIL")] == [
-        "table-identities:", "oracle-agreement:", "witness-upper-bounds:"]
-    assert lines[-1] == "1/4 checks passed"
+    captured = capsys.readouterr()
+    assert captured.out == "0/0 checks passed\n"
+    assert captured.err == (
+        "verify: (p=37, d=6) failed: InternalDisagreement: solvers disagree "
+        "for class 2: coset-walk=3, reachability=2\n")
+    # handed the doctored table, the full checks see the move on the table
+    # and in the recurrence, while the witnesses still prove the true answer
+    doctored_solution = replace(solution, counted=doctored)
+    failed = {c.name: c.detail for c in full_checks(doctored_solution)
+              if not c.passed}
+    assert failed == {
+        "table-identities": "reflection: (i, j) = (-i, j - i) fails at: [(2, 0), (2, 2)]",
+        "recurrence-agreement": "classes off: [(2, 3, 2)]",
+    }
 
 
 def test_sweep_full_reports_a_failing_check_against_its_key(monkeypatch, capsys):
@@ -684,7 +692,7 @@ def test_closed_form_agreement_fails_on_a_wrong_closed_g(monkeypatch, capsys):
     assert main(["verify", "-p", "13", "-d", "3"]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == [
         "FAIL (p=13, d=3) closed-form-agreement: closed g=3 vs solved g=2",
-        "4/5 checks passed",
+        "5/6 checks passed",
     ]
 
 
@@ -696,7 +704,7 @@ def test_closed_form_agreement_fails_on_a_missing_witness(monkeypatch, capsys):
     assert main(["verify", "-p", "29", "-d", "4"]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == [
         "FAIL (p=29, d=4) closed-form-agreement: witness presence False vs g=3",
-        "4/5 checks passed",
+        "5/6 checks passed",
     ]
 
 
@@ -717,29 +725,20 @@ def test_every_rectangle_move_fails_the_table_identities(p, d, moves):
     # +1 at (i, j) and (i2, j2), -1 at (i, j2) and (i2, j) keeps every row
     # and column sum, so the row-sum and tuple-count checks cannot see it
     solution = solve(make_context(p, d))
-    table = solution.seq.table
-    dense = table.counts
+    table = solution.table
     seen = 0
-    for i, i2 in combinations(range(d), 2):
-        for j, j2 in permutations(range(d), 2):
-            if not (dense[i][j2] and dense[i2][j]):
-                continue
-            counts = [list(row) for row in dense]
-            counts[i][j] += 1
-            counts[i2][j2] += 1
-            counts[i][j2] -= 1
-            counts[i2][j] -= 1
-            doctored = replace(
-                solution, seq=NSequence(table_from_counts(table.ctx, counts)))
-            failed = [c.name for c in full_checks(doctored) if not c.passed]
-            assert "table-identities" in failed, (i, j, i2, j2)
-            seen += 1
+    for i, j, i2, j2, counts in rectangle_moves(table.counts):
+        doctored = replace(solution, counted=table_from_counts(table.ctx, counts))
+        failed = [c.name for c in full_checks(doctored) if not c.passed]
+        assert "table-identities" in failed, (i, j, i2, j2)
+        seen += 1
     assert seen == moves
 
 
 def test_a_table_both_routes_leave_unanswered_gives_no_record(monkeypatch, capsys):
-    # classes 1 and 2 of this doctored (13, 3) table never reach theta = 0:
-    # the key fails instead of emitting an answer neither route gave
+    # classes 1 and 2 of this doctored (13, 3) table never reach theta = 0,
+    # so the table's walks leave them unanswered: the key fails instead of
+    # emitting the answer of the coset walk alone
     import cyclomod.waring as waring_module
 
     doctored = table_from_counts(
@@ -1121,7 +1120,7 @@ def test_cli_verify_keys_refused_orders_and_goes_on(capsys):
     # are still checked, and the run exits 2 for the refusals
     assert main(["verify", "-p", "20011"]) == 2
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1] == "113/113 checks passed"
+    assert captured.out.splitlines()[-1] == "141/141 checks passed"
     refused = captured.err.splitlines()
     assert len(refused) == 3
     for line, d in zip(refused, (6670, 10005, 20010)):
@@ -1137,16 +1136,16 @@ def test_cli_verify_keys_a_disagreement_and_exits_1(monkeypatch, capsys):
 
     def solve_13(ctx):
         if ctx.d == 4:
-            raise InternalDisagreement(1, {"recurrence": 2, "reachability": 3})
+            raise InternalDisagreement(1, {"coset-walk": 2, "reachability": 3})
         return real(ctx)
 
     monkeypatch.setattr(waring_module, "solve", solve_13)
     assert main(["verify", "-p", "13"]) == 1
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
-    assert lines[-1] == "17/17 checks passed"
+    assert lines[-1] == "19/19 checks passed"
     assert {line.split(")")[0] + ")" for line in lines[:-1]} == {
         f"PASS (p=13, d={d})" for d in (2, 3, 6, 12)}
     assert captured.err == (
         "verify: (p=13, d=4) failed: InternalDisagreement: solvers disagree "
-        "for class 1: recurrence=2, reachability=3\n")
+        "for class 1: coset-walk=2, reachability=3\n")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,14 +11,16 @@ from cyclomod import (
     solve,
 )
 from cyclomod.closedform import small_f_lengths
-from cyclomod.cyclotomy import walks
+from cyclomod.cyclotomy import coset_walk, walks
 from cyclomod.errors import InternalDisagreement, SanityFailure, ScaleGuard
+from cyclomod.ffield import is_prime
 from cyclomod.oracle import sumset_lengths
-from cyclomod.sweep import admissible_orders
+from cyclomod.sweep import admissible_orders, full_checks
 from cyclomod.waring import NSequence
 
 from conftest import (
-    brute_s, count_matrix_powers, dense_rows, s_by_matrix_powers, table_from_counts,
+    brute_s, count_matrix_powers, dense_rows, rectangle_moves, s_by_matrix_powers,
+    table_from_counts,
 )
 
 
@@ -159,13 +162,11 @@ def test_sparse_rows_match_dense_oracle_property():
             )
             assert seq.first_k[v] == scan, (p, d, v)
         solution = solve(ctx)
-        if ctx.f >= 3:
-            # solve grows no row past the last class to enter the support
-            assert solution.seq.k_max == solution.g
-            assert solution.seq.first_k == seq.first_k
-        else:
-            # the closed form answers f <= 2, so solve grows no row past k = 1
-            assert solution.seq.k_max == 1
+        # solve grows no row: they start at k = 1 when first read
+        assert solution.seq.k_max == 1
+        if ctx.f >= 3:  # the full checks compare the recurrence's answer
+            first = seq.first_k[ctx.theta:] + seq.first_k[:ctx.theta]
+            assert tuple(first) == solution.per_class_s
 
     check()
 
@@ -302,7 +303,7 @@ def test_solve_examples():
     assert solve(make_context(29, 4)).g == 3
     sol = solve(make_context(13, 4))
     assert sol.per_class_s[0] == 1
-    assert sol.method == "recurrence"
+    assert sol.method == "reachability"
     assert solve(make_context(7, 3)).method == "closed-form"
     assert all(1 <= s <= 13 - 1 for s in sol.per_class_s)
 
@@ -326,6 +327,15 @@ def long_walks(monkeypatch):
     )
 
 
+def coset_walk_with_lengths(monkeypatch, lengths):
+    """Make solve's coset walk report the given lengths, class by class."""
+    import cyclomod.waring as waring_module
+
+    real = waring_module.coset_walk
+    monkeypatch.setattr(waring_module, "coset_walk",
+                        lambda ctx: replace(real(ctx), lengths=tuple(lengths)))
+
+
 def counted_extend_calls(monkeypatch):
     """The positional arguments of every NSequence.extend call, as a list."""
     calls = []
@@ -345,22 +355,23 @@ def test_solve_raises_on_forced_disagreement(monkeypatch):
     with pytest.raises(InternalDisagreement) as info:
         solve(make_context(13, 3))
     assert info.value.alpha == 1
-    assert info.value.values == {"recurrence": 2, "reachability": 99}
+    assert info.value.values == {"coset-walk": 2, "reachability": 99}
 
 
 def test_solve_raises_on_forced_disagreement_with_the_closed_form(monkeypatch):
-    # (7, 3) has f = 2, so the walks are compared with the closed form
-    long_walks(monkeypatch)
+    # (7, 3) has f = 2, so the coset walk is compared with the closed form
+    coset_walk_with_lengths(monkeypatch, (1, 99, 99))
     with pytest.raises(InternalDisagreement) as info:
         solve(make_context(7, 3))
     assert info.value.alpha == 1
-    assert info.value.values == {"closed-form": 3, "reachability": 99}
+    assert info.value.values == {"coset-walk": 99, "closed-form": 3}
 
 
 def test_solve_raises_on_classes_both_routes_leave_unanswered(monkeypatch):
     # classes 1 and 2 of this doctored (13, 3) table (f = 4) never feed
-    # theta = 0, and its row and column sums are a real table's, so neither
-    # route answers them: a silent route is no answer, and solve refuses
+    # theta = 0, and its row and column sums are a real table's, so the
+    # walks leave them unanswered; so does a coset walk made to stop at
+    # class 0: a silent route is no answer, and solve refuses
     import cyclomod.waring as waring_module
 
     ctx = make_context(13, 3)
@@ -369,60 +380,61 @@ def test_solve_raises_on_classes_both_routes_leave_unanswered(monkeypatch):
     with pytest.raises(InternalDisagreement) as info:
         waring_module.solve(ctx)
     assert info.value.alpha == 1
-    assert info.value.values == {"recurrence": None, "reachability": None}
-
-
-def test_solve_raises_on_unwalked_classes_at_f_2(monkeypatch):
-    # the same cut at (7, 3): the closed form answers every class, the walks
-    # leave classes 1 and 2 unanswered, and one answer alone is refused
-    import cyclomod.waring as waring_module
-
-    ctx = make_context(7, 3)
-    doctored = table_from_counts(ctx, ((1, 0, 0), (0, 2, 0), (0, 0, 2)))
-    monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
+    assert info.value.values == {"coset-walk": 2, "reachability": None}
+    coset_walk_with_lengths(monkeypatch, (1, None, None))
     with pytest.raises(InternalDisagreement) as info:
         waring_module.solve(ctx)
     assert info.value.alpha == 1
-    assert info.value.values == {"closed-form": 3, "reachability": None}
+    assert info.value.values == {"coset-walk": None, "reachability": None}
 
 
-def test_solve_grows_the_rows_in_one_call_that_checks_column_sums(monkeypatch):
+def test_full_checks_grow_the_rows_in_one_call_that_checks_column_sums(monkeypatch):
     # swapping (1, 0) and (1, 1) of the (13, 3) table (f = 4) keeps every
-    # row sum and moves column theta = 0's, which row 2 of the single growth
-    # call shows
+    # row sum and moves column theta = 0's.  The walks still agree with the
+    # coset walk, and solve grows no row; recurrence-agreement grows them in
+    # one call, whose row 2 shows the column sums
     import cyclomod.waring as waring_module
 
     ctx = make_context(13, 3)
     swapped = table_from_counts(ctx, ((0, 1, 2), (2, 1, 1), (2, 1, 1)))
     calls = counted_extend_calls(monkeypatch)
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: swapped)
+    solution = waring_module.solve(ctx)
+    assert solution.per_class_s == (1, 2, 2)
+    assert calls == []
     with pytest.raises(SanityFailure, match="row 2: .* not p\\*f\\^1"):
-        waring_module.solve(ctx)
+        full_checks(solution)
     assert calls == [(1,), (3,)]  # construction, then the one growth call
 
 
 def test_solve_grows_no_row_at_f_2_and_the_walks_see_a_column_swap(monkeypatch):
-    # the same swap in the (7, 3) table: solve grows no row past
-    # construction, and the walks disagree with the closed form instead
+    # the same swap in the (7, 3) table: at f = 2 solve counts no table and
+    # grows no row, so its answer stays the closed form's, although the
+    # table's walks would give class 1 two powers; the full checks count
+    # the table, and its row 2 shows the column sums
     import cyclomod.waring as waring_module
 
     ctx = make_context(7, 3)
     swapped = table_from_counts(ctx, ((0, 0, 1), (1, 0, 1), (1, 1, 0)))
+    assert by_walks(swapped) == [1, 2, 2]
     calls = counted_extend_calls(monkeypatch)
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: swapped)
-    with pytest.raises(InternalDisagreement) as info:
-        waring_module.solve(ctx)
-    assert info.value.alpha == 1
-    assert info.value.values == {"closed-form": 3, "reachability": 2}
-    assert calls == [(1,)]  # construction only
+    solution = waring_module.solve(ctx)
+    assert solution.per_class_s == (1, 3, 2)
+    assert solution.counted is None and calls == []
+    with pytest.raises(SanityFailure, match="row 2: .* not p\\*f\\^1"):
+        full_checks(solution)
+    assert solution.table is swapped
 
 
-def test_rectangle_move_at_f_2_disagrees_with_the_closed_form(monkeypatch):
+def test_a_doctored_f_2_table_leaves_solve_right_and_fails_verify(monkeypatch, capsys):
     # +1 at (1, 2) and (4, 3), -1 at (1, 3) and (4, 2) keeps every row and
-    # column sum of the (11, 5) table, which the recurrence's checks read;
-    # the new edge 1 -> 2 shortens class 4's walk from 4 steps to 3, which
-    # the closed form, reading no table, refuses
+    # column sum of the (11, 5) table (f = 2), and its new edge 1 -> 2 would
+    # shorten class 4's walk from 4 steps to 3.  solve compares the coset
+    # walk with the closed form, reads no table and stays right; verify
+    # counts the table, and the table identities fail on it
     import cyclomod.waring as waring_module
+    from cyclomod.cli import main
 
     ctx = make_context(11, 5)
     moved = [list(row) for row in compute_table(ctx).counts]
@@ -431,11 +443,36 @@ def test_rectangle_move_at_f_2_disagrees_with_the_closed_form(monkeypatch):
     doctored = table_from_counts(ctx, moved)
     assert all(sum(row) == ctx.f - (v == ctx.theta) for v, row in enumerate(moved))
     assert all(sum(col) == ctx.f - (l == 0) for l, col in enumerate(zip(*moved)))
+    assert by_walks(doctored)[4] == 4
     monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
-    with pytest.raises(InternalDisagreement) as info:
-        waring_module.solve(ctx)
-    assert info.value.alpha == 4
-    assert info.value.values == {"closed-form": 5, "reachability": 4}
+    per_class_s = solve(ctx).per_class_s
+    assert per_class_s == small_f_lengths(11, 5, ctx.omega) and per_class_s[4] == 5
+    assert main(["verify", "-p", "11", "-d", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[3] for line in lines if line.startswith("FAIL")][0] == (
+        "table-identities:")
+
+
+def test_fast_mode_never_answers_wrong_from_a_rectangle_move(monkeypatch):
+    # every rectangle move keeps the row and column sums; with the doctored
+    # table in place of the counted one, solve either refuses or gives the
+    # true answer, since the coset walk reads no table
+    import cyclomod.waring as waring_module
+
+    refused = 0
+    for p, d in [(13, 3), (37, 6), (61, 6), (73, 8)]:
+        ctx = make_context(p, d)
+        truth = sumset_lengths(ctx)
+        for _, _, _, _, counts in rectangle_moves(compute_table(ctx).counts):
+            doctored = table_from_counts(ctx, counts)
+            monkeypatch.setattr(waring_module, "compute_table", lambda ctx: doctored)
+            try:
+                solution = waring_module.solve(ctx)
+            except InternalDisagreement:
+                refused += 1
+            else:
+                assert solution.per_class_s == truth, (p, d, counts)
+    assert refused > 0
 
 
 def test_closed_form_route_at_small_f_property():
@@ -503,6 +540,49 @@ def test_f_equal_3_key_is_answered_like_brute_force(capsys):
     worst = per_class_s.index(64)
     for alpha in (0, 1, 2, 585, worst):
         assert brute_s(ctx, ctx.element_of_class(alpha)) == per_class_s[alpha]
+
+
+def test_coset_walk_matches_the_oracles_below_400():
+    # every key with p < 400: the walk over the class array, which reads no
+    # table, against one sumset growth per key and one per class
+    keys = 0
+    for p in primes_in_range(3, 400):
+        for d in admissible_orders(p):
+            ctx = make_context(p, d)
+            lengths = coset_walk(ctx).lengths
+            assert lengths == sumset_lengths(ctx), (p, d)
+            assert lengths == tuple(
+                brute_s(ctx, ctx.element_of_class(alpha)) for alpha in range(d)), (p, d)
+            keys += 1
+    assert keys == 611
+
+
+def test_coset_walk_table_walks_and_recurrence_agree_up_to_the_default_cap():
+    # primes up to 2^22 with 3 <= d <= 8, where the sumset growth would take
+    # too long: the three routes give the same vector
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def keys(draw):
+        d = draw(st.integers(min_value=3, max_value=8))
+        bits = draw(st.integers(min_value=3, max_value=21))  # every size alike
+        top = min((2 << bits) - 1, (1 << 22) - 4096)  # room for the search
+        p = draw(st.integers(min_value=1 << bits, max_value=top)) | 1
+        while (p - 1) % d or not is_prime(p):  # the next prime with d | p - 1
+            p += 2
+        return p, d
+
+    @hypothesis.settings(max_examples=10, deadline=None)
+    @hypothesis.given(keys())
+    @hypothesis.example((4194301, 5))  # the largest prime under the cap
+    def check(key):
+        ctx = make_context(*key)
+        table = compute_table(ctx)
+        lengths = coset_walk(ctx).lengths
+        assert list(lengths) == by_walks(table) == by_recurrence(table), key
+
+    check()
 
 
 def test_sumset_growth_matches_brute_force():
